@@ -1,47 +1,37 @@
-// Wall-clock sweep of the final-merge topologies (DESIGN.md §12):
-// every pinned MergeMode plus kAuto, across three regimes chosen to
-// make a different topology win each —
+// Wall-clock A/B of radix pre-partitioning against the paper's plain
+// partitioned merge (DESIGN.md §12): every cell runs the Sampling
+// algorithm once with radix_mode = kOff ("seed": hash-direct local and
+// merge tables) and once with kAuto ("radix": the locality model's
+// decision, engaging cache-sized staging on the local and merge tables
+// when the sampled working set busts the LLC budget). Three regimes:
 //
-//   high_n_low_g : many nodes, few groups, real sockets. The seed
-//                  scatter ships ~2N^2 mostly-empty pages, each paying a
-//                  syscall + framing; the reduction topologies collapse
-//                  that to ~N^2 + 3N, so the tree wins on message
-//                  economy. (Over the in-process mesh a message costs
-//                  nanoseconds, so this cell runs TCP.) At full group
-//                  overlap the tree and its degenerate central form ship
-//                  the same N-1 tables, so they tie on *total* work —
-//                  the tree's log-depth fold only pulls ahead of central
-//                  on wall clock when folds really run in parallel; on a
-//                  serial CI host the table shows them as a statistical
-//                  tie, which the winner check accepts.
-//   high_g_skew  : huge skewed group count. Central/tree fold the whole
-//                  set on single nodes, the shared table serializes on
-//                  hot slots; merge-side radix staging on the seed wire
-//                  wins on locality.
+//   high_n_low_g : many nodes, few groups, real sockets. Message-bound;
+//                  the working set is tiny, so auto stays hash-direct
+//                  and the two columns must tie (a control cell).
+//   high_g_skew  : huge skewed group count under a 256 KiB LLC budget.
+//                  Auto engages radix on both tables; this is the cell
+//                  where staging has to earn its code.
 //   inproc_low_contention : plenty of uniform groups on the in-process
-//                  mesh. The shared lock-free table skips serialize +
-//                  wire + deserialize entirely and wins.
+//                  mesh, cache-resident tables: auto stays hash-direct
+//                  (a second control cell).
 //
-// Every cell runs the Sampling algorithm so kAuto takes the real
-// cost-model decision. Reps are interleaved across modes (rep-major,
-// rotating start) so machine drift hits every mode alike, and each mode
-// reports its median wall time — the median shrugs off the long
-// scheduler tail that makes min/mean flap on shared hosts (modeled time
-// is topology-invariant by construction — the interesting number here
-// is the wall clock). Modes within kTieBand of the fastest count as
-// co-winners. Numbers go to BENCH_micro_merge.json.
+// Reps are interleaved across the two modes (rep-major, alternating
+// start) so machine drift hits both alike, and each mode reports its
+// median wall time — the median shrugs off the long scheduler tail that
+// makes min/mean flap on shared hosts. Modeled time is radix-invariant
+// by construction; the interesting number here is the wall clock. A
+// mode within kTieBand of the other counts as a tie. Numbers go to
+// BENCH_micro_merge.json.
 //
 // ADAPTAGG_BENCH_SCALE scales tuple counts (group counts and M scale
 // with them so the regimes keep their shape).
 
 #include <algorithm>
-#include <cstdlib>
 #include <cstdio>
 #include <string>
 #include <vector>
 
 #include "bench_util.h"
-#include "model/merge_model.h"
 
 namespace adaptagg {
 namespace bench {
@@ -49,11 +39,8 @@ namespace {
 
 constexpr int kReps = 9;
 
-/// Modes whose median wall lands within this factor of the cell's
-/// fastest count as co-winners. 1.10 matches the observed cross-run
-/// noise floor of a serial shared host; some ties are also genuine
-/// (tree vs central do identical total work — the tree only pulls ahead
-/// on the fold critical path when folds actually run in parallel).
+/// Medians within this factor of each other count as a tie. 1.10
+/// matches the observed cross-run noise floor of a serial shared host.
 constexpr double kTieBand = 1.10;
 
 struct Cell {
@@ -65,16 +52,23 @@ struct Cell {
   double zipf_theta;    // 0 = uniform
   int64_t llc_bytes;    // radix LLC budget (-1 = model default)
   bool tcp;             // loopback sockets instead of the inproc mesh
-  int reps;             // wall-clock reps (min wins); TCP needs more
-  MergeMode expected_winner;
+  int reps;             // wall-clock reps; TCP needs more
 };
 
 /// Distinct from every port range the tests claim (42xxx, 43xxx).
 constexpr int kTcpBasePort = 44'150;
 
+struct Mode {
+  const char* label;
+  RadixMode radix;
+};
+
+constexpr Mode kModes[] = {{"seed", RadixMode::kOff},
+                           {"radix", RadixMode::kAuto}};
+constexpr int kNumModes = static_cast<int>(sizeof(kModes) /
+                                           sizeof(kModes[0]));
+
 struct ModeOutcome {
-  std::string label;
-  std::string resolved;  // topology the run actually used
   double sim_time_s = 0;
   std::vector<double> walls;  // one sample per rep; reported as median
   double wall_time_s = -1;    // median, filled in after the rep loop
@@ -89,32 +83,51 @@ struct ModeOutcome {
   }
 };
 
-const char* ModeLabel(MergeMode mode) { return MergeModeToString(mode); }
-
-/// One engine run of `mode`; folds the wall time into `out` (min wins).
-bool RunModeOnce(const Cell& cell, Cluster& cluster,
-                 const AggregationSpec& spec, PartitionedRelation& rel,
-                 BenchJsonWriter& json, MergeMode mode, bool first_rep,
-                 ModeOutcome& out) {
+AlgorithmOptions ModeOptions(const Cell& cell, const Mode& mode) {
   AlgorithmOptions opts;
   opts.gather_results = false;
-  opts.merge_mode = mode;
+  opts.radix_mode = mode.radix;
   opts.radix_llc_bytes = cell.llc_bytes;
   opts.crossover_threshold = 1'000'000'000;  // keep the two-phase body
+  return opts;
+}
+
+/// One engine run of `mode`; appends its wall time to `out`.
+bool RunModeOnce(const Cell& cell, Cluster& cluster,
+                 const AggregationSpec& spec, PartitionedRelation& rel,
+                 BenchJsonWriter& json, const Mode& mode, bool first_rep,
+                 ModeOutcome& out) {
   EngineRunOutcome run =
-      RunEngine(cluster, AlgorithmKind::kSampling, spec, rel, opts,
-                std::string(cell.name) + "_" + out.label);
+      RunEngine(cluster, AlgorithmKind::kSampling, spec, rel,
+                ModeOptions(cell, mode),
+                std::string(cell.name) + "_" + mode.label);
   if (!run.ok) return false;
   out.sim_time_s = run.sim_time_s;
   out.walls.push_back(run.wall_time_s);
-  for (const auto& e : run.metrics.entries) {
-    if (e.name == "core.merge_topology") {
-      out.resolved = MergeTopologyToString(
-          static_cast<MergeTopology>(e.value));
-    }
-  }
   if (first_rep) json.MergeMetrics(run.metrics);
   return true;
+}
+
+/// Which tables the auto mode engaged, from one untimed traced run.
+std::string EngagedTables(const Cell& cell, Cluster& cluster,
+                          const AggregationSpec& spec,
+                          PartitionedRelation& rel) {
+  AlgorithmOptions opts = ModeOptions(cell, kModes[1]);
+  opts.obs.traces = true;
+  RunResult run =
+      cluster.Run(*MakeAlgorithm(AlgorithmKind::kSampling), spec, rel, opts);
+  if (!run.status.ok()) return "ERR";
+  bool local = false;
+  bool global = false;
+  for (const TraceEvent& e : run.trace_events) {
+    if (e.kind != TraceEvent::Kind::kInstant) continue;
+    local = local || e.name == "radix.engage.local";
+    global = global || e.name == "radix.engage.global";
+  }
+  if (local && global) return "local+global";
+  if (local) return "local";
+  if (global) return "global";
+  return "none";
 }
 
 void Run() {
@@ -126,32 +139,24 @@ void Run() {
 
   const Cell kCells[] = {
       {"high_n_low_g", 24, scaled(2'400), 64, 1'024, 0.0, -1,
-       /*tcp=*/true, /*reps=*/15, MergeMode::kTree},
+       /*tcp=*/true, /*reps=*/15},
       // 256 KiB LLC budget: the zipf sample undercounts groups (~40k
       // seen of 80k real), and the budget must be small enough that
       // even the undercount busts it, or auto never engages the radix
       // staging it is being graded on.
       {"high_g_skew", 4, scaled(160'000), scaled(80'000), scaled(65'536),
-       0.9, 256 * 1024, /*tcp=*/false, /*reps=*/kReps, MergeMode::kRadix},
-      // G=4k keeps the concurrent table (2x est = 8192 slots) L2-ish
-      // resident — shared's regime is low contention AND a cache-sized
-      // table; 8 nodes scale up the serialize/wire/deserialize volume
-      // every other topology pays and shared skips.
+       0.9, 256 * 1024, /*tcp=*/false, /*reps=*/kReps},
       {"inproc_low_contention", 8, scaled(80'000), scaled(4'000),
-       scaled(65'536), 0.0, -1, /*tcp=*/false, /*reps=*/kReps,
-       MergeMode::kShared},
+       scaled(65'536), 0.0, -1, /*tcp=*/false, /*reps=*/kReps},
   };
-  const MergeMode kModes[] = {MergeMode::kCentral, MergeMode::kTree,
-                              MergeMode::kRadix, MergeMode::kShared,
-                              MergeMode::kAuto};
 
-  PrintHeader("micro: merge topology",
-              "final-merge topologies across their winning regimes "
+  PrintHeader("micro: merge-side radix",
+              "seed (radix off) vs radix (auto) under Sampling "
               "(median wall of >=" + std::to_string(kReps) + " reps)",
               "scale=" + FmtSeconds(scale));
 
-  TablePrinter table({"cell", "central(s)", "tree(s)", "radix(s)",
-                      "shared(s)", "auto(s)", "winner", "expected"});
+  TablePrinter table(
+      {"cell", "seed(s)", "radix(s)", "seed/radix", "engaged", "verdict"});
   BenchJsonWriter json("micro_merge", "scale=" + FmtSeconds(scale));
 
   for (const Cell& cell : kCells) {
@@ -179,22 +184,14 @@ void Run() {
       cluster.set_transport_factory(
           [](int n) { return MakeTcpMesh(n, kTcpBasePort); });
     }
-    constexpr int kNumModes =
-        static_cast<int>(sizeof(kModes) / sizeof(kModes[0]));
     ModeOutcome outs[kNumModes];
     bool all_ok = true;
-    // Rep-major with a rotating start and alternating direction: every
-    // rep touches every mode back to back (slow drift cancels out of
-    // the comparison), the rotation walks each mode through every
-    // position in the cycle (warm-up favors late positions), and the
-    // direction flip breaks the fixed predecessor relation (a mode
-    // inherits its predecessor's allocator/page-cache state — with one
-    // fixed cyclic order that gift always lands on the same neighbor).
+    // Rep-major with an alternating start: every rep runs both modes
+    // back to back (slow drift cancels out of the comparison), and each
+    // mode leads on every other rep (warm-up favors the later position).
     for (int rep = 0; rep < cell.reps && all_ok; ++rep) {
       for (int k = 0; k < kNumModes; ++k) {
-        const int step = (rep % 2 == 0) ? k : kNumModes - 1 - k;
-        const int mi = (rep + step) % kNumModes;
-        outs[mi].label = ModeLabel(kModes[mi]);
+        const int mi = (rep + k) % kNumModes;
         if (!RunModeOnce(cell, cluster, *spec, *rel, json, kModes[mi],
                          rep == 0 && k == 0, outs[mi])) {
           all_ok = false;
@@ -202,84 +199,36 @@ void Run() {
         }
       }
     }
-    if (std::getenv("ADAPTAGG_BENCH_DEBUG") != nullptr) {
-      for (int mi = 0; mi < kNumModes; ++mi) {
-        std::printf("DBG %s %s:", cell.name, ModeLabel(kModes[mi]));
-        for (double w : outs[mi].walls) std::printf(" %.4f", w);
-        std::printf("\n");
-      }
+    if (!all_ok) {
+      table.AddRow({cell.name, "ERR", "ERR", "-", "-", "ERR"});
+      continue;
     }
-    std::vector<std::string> row = {cell.name};
-    for (int mi = 0; mi < kNumModes; ++mi) outs[mi].FinalizeWall();
-    ModeOutcome best;
-    double auto_wall = 0;
     for (int mi = 0; mi < kNumModes; ++mi) {
-      const ModeOutcome& out = outs[mi];
-      row.push_back(all_ok ? FmtSeconds(out.wall_time_s) : "ERR");
-      if (!all_ok) continue;
-      json.AddPoint(std::string(cell.name) + "/" + out.label,
+      ModeOutcome& out = outs[mi];
+      out.FinalizeWall();
+      json.AddPoint(std::string(cell.name) + "/" + kModes[mi].label,
                     out.sim_time_s, out.wall_time_s,
                     out.wall_time_s > 0
                         ? static_cast<double>(cell.tuples) / out.wall_time_s
                         : 0);
-      if (kModes[mi] == MergeMode::kAuto) {
-        auto_wall = out.wall_time_s;
-      } else if (best.label.empty() ||
-                 out.wall_time_s < best.wall_time_s) {
-        best = out;
-      }
     }
-    // Co-winners: every pinned mode within kTieBand of the fastest.
-    std::string winner;
-    bool expected_wins = false;
-    if (all_ok) {
-      for (int mi = 0; mi < kNumModes; ++mi) {
-        if (kModes[mi] == MergeMode::kAuto) continue;
-        if (outs[mi].wall_time_s <= best.wall_time_s * kTieBand) {
-          if (!winner.empty()) winner += "=";
-          winner += outs[mi].label;
-          if (kModes[mi] == cell.expected_winner) expected_wins = true;
-        }
-      }
-    } else {
-      winner = "ERR";
-    }
-    row.push_back(winner);
-    row.push_back(ModeLabel(cell.expected_winner));
-    table.AddRow(std::move(row));
-    // The shipped configuration is kAuto: the cell passes when the cost
-    // model resolves the expected topology and auto's wall lands within
-    // the tie band of the best pin — or when the expected pin co-wins
-    // outright.
-    if (all_ok && auto_wall > 0) {
-      std::string auto_resolved;
-      for (int mi = 0; mi < kNumModes; ++mi) {
-        if (kModes[mi] == MergeMode::kAuto) auto_resolved = outs[mi].resolved;
-      }
-      const bool auto_picked_expected =
-          auto_resolved == ModeLabel(cell.expected_winner);
-      const bool pass =
-          (auto_picked_expected &&
-           auto_wall <= best.wall_time_s * kTieBand) ||
-          expected_wins;
-      std::printf(
-          "[%s] auto resolved %s, auto/best = %.3f, expected %s: %s\n",
-          cell.name, auto_resolved.empty() ? "?" : auto_resolved.c_str(),
-          auto_wall / best.wall_time_s, ModeLabel(cell.expected_winner),
-          pass ? "PASS" : "FAIL");
-    }
+    const double seed_wall = outs[0].wall_time_s;
+    const double radix_wall = outs[1].wall_time_s;
+    const char* verdict = "tie";
+    if (radix_wall * kTieBand < seed_wall) verdict = "radix wins";
+    if (seed_wall * kTieBand < radix_wall) verdict = "seed wins";
+    table.AddRow({cell.name, FmtSeconds(seed_wall), FmtSeconds(radix_wall),
+                  FmtSeconds(seed_wall / radix_wall),
+                  EngagedTables(cell, cluster, *spec, *rel), verdict});
   }
   table.Print();
   json.Write();
   std::printf(
-      "\nExpected shape: tree wins high_n_low_g on message economy\n"
-      "(~N^2+3N messages vs the seed scatter's ~2N^2; it ties with its\n"
-      "degenerate central form on serial hosts and beats it on the fold\n"
-      "critical path when cores are available), radix wins high_g_skew\n"
-      "(locality on the seed wire while central/tree centralize the fold\n"
-      "and the shared table serializes on hot slots), shared wins\n"
-      "inproc_low_contention (no serialize/wire/deserialize), and auto\n"
-      "lands within ~10%% of each cell's winner.\n");
+      "\nExpected shape: the control cells (high_n_low_g,\n"
+      "inproc_low_contention) engage nothing and tie; high_g_skew engages\n"
+      "radix on the local and merge tables, and radix has to beat seed\n"
+      "by more than the %.2fx tie band there to justify its code.\n",
+      kTieBand);
 }
 
 }  // namespace

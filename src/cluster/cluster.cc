@@ -4,7 +4,6 @@
 #include <chrono>
 #include <thread>
 
-#include "agg/hash_table.h"
 #include "cluster/gather_sink.h"
 #include "cluster/recovery.h"
 #include "cluster/run_assembly.h"
@@ -98,11 +97,6 @@ RunResult Cluster::Run(const Algorithm& algo, const AggregationSpec& spec,
     NetworkModel net(params_);
 
     GatherSink gathered;
-    // One shared merge arena per attempt: the shared topology's
-    // concurrent table lives here when the mesh is in-process. Fresh per
-    // attempt so a recovery replay never sees a crashed attempt's groups.
-    SharedMergeArena merge_arena;
-
     std::vector<std::unique_ptr<NodeContext>> contexts;
     contexts.reserve(static_cast<size_t>(n));
     for (int i = 0; i < n; ++i) {
@@ -110,7 +104,6 @@ RunResult Cluster::Run(const Algorithm& algo, const AggregationSpec& spec,
           i, params_, spec, options, &rel.partition(i), &rel.disk(i),
           (*transports)[static_cast<size_t>(i)].get(), &net, wall_epoch_s));
       contexts.back()->SetGather(&gathered);
-      contexts.back()->SetMergeArena(&merge_arena);
       if (recovery != nullptr) {
         contexts.back()->SetRecovery(&recovery->node(i));
       }

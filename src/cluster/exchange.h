@@ -26,12 +26,8 @@ int DestOfKeyHash(uint64_t key_hash, int num_nodes);
 /// page.
 class Exchange {
  public:
-  /// `cost_exempt` stamps every page with kExemptChargedBytes so the
-  /// network model bills nothing — used by the merge-topology reduction
-  /// planes, whose seed-equivalent charges were already applied through
-  /// phantom accounting (see core/merge_topology.h).
   Exchange(NodeContext* ctx, MessageType type, int record_width,
-           uint32_t phase, bool cost_exempt = false);
+           uint32_t phase);
 
   /// Buffers one record for `dest`, sending a page when full. The scalar
   /// path for inherently record-at-a-time producers (Finish-callback
@@ -74,7 +70,6 @@ class Exchange {
   MessageType type_;
   int record_width_;
   uint32_t phase_;
-  bool cost_exempt_;
   std::vector<PageBuilder> builders_;
   int64_t records_sent_ = 0;
   /// Pages sent to each destination since the last FlushAll (skew

@@ -74,6 +74,16 @@ NodeContext::NodeContext(int node_id, const SystemParams& params,
   straggle_secs_ = options.fault_plan.StraggleSecsForNode(node_id);
 }
 
+NodeContext::~NodeContext() {
+  if (result_file_ == nullptr) return;
+  const Status st = result_file_->Drop();
+  if (!st.ok()) {
+    ADAPTAGG_LOG(kWarning) << "node " << node_id_
+                           << ": dropping the result file failed: "
+                           << st.ToString();
+  }
+}
+
 int64_t NodeContext::max_hash_entries() const {
   return options_.max_hash_entries > 0 ? options_.max_hash_entries
                                        : params_.max_hash_entries;
@@ -300,20 +310,6 @@ Status NodeContext::InjectCrash(const std::string& where) {
   obs_->fault_crashes_injected.Increment();
   obs_->RecordFault("fault.crash", {{"node", node_id_}});
   return Status::Internal("injected crash at " + where);
-}
-
-void NodeContext::ChargePhantomSend(uint32_t charged_bytes) {
-  Message msg;
-  msg.type = MessageType::kPartialPage;
-  msg.charged_bytes = charged_bytes;
-  net_->OnSend(clock_, msg);
-}
-
-void NodeContext::ChargePhantomReceive(uint32_t charged_bytes) {
-  Message msg;
-  msg.type = MessageType::kPartialPage;
-  msg.charged_bytes = charged_bytes;
-  net_->OnReceive(clock_, msg);
 }
 
 void NodeContext::SyncDiskIo() {

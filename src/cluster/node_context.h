@@ -14,7 +14,6 @@
 #include "exec/expression.h"
 #include "exec/operator.h"
 #include "model/locality_model.h"
-#include "model/merge_model.h"
 #include "net/fault.h"
 #include "net/network_model.h"
 #include "net/transport.h"
@@ -27,7 +26,6 @@
 namespace adaptagg {
 
 class RecoveryNode;
-class SharedMergeArena;
 
 /// Fault-recovery knobs of one run (DESIGN.md §11). When enabled, the
 /// cluster checkpoints each node's partial-aggregate state every K scan
@@ -83,21 +81,8 @@ struct AlgorithmOptions {
   /// rationale).
   int64_t radix_llc_bytes = -1;
 
-  // --- Final-merge topology (DESIGN.md §12) ---
-  /// How the cluster combines per-node partial aggregates into final
-  /// groups (model/merge_model.h). kAuto lets the sampling phase's cost
-  /// model choose (non-sampling algorithms stay on the seed wire); the
-  /// other values pin one topology. Unsupported combinations — single
-  /// node, recovery-enabled runs, a shared merge over a socket mesh —
-  /// demote to the seed wire rather than fail. Every topology emits
-  /// byte-identical rows at identical modeled cost; only wall time and
-  /// wire traffic shape differ.
-  MergeMode merge_mode = MergeMode::kAuto;
-
   /// Caller-supplied global distinct-group estimate (0: unknown). Feeds
-  /// the pinned topologies' table sizing and the serving layer's
-  /// admission memory estimate; the sampling phase overrides it with its
-  /// measured estimate.
+  /// the serving layer's admission memory estimate.
   int64_t estimated_groups = 0;
 
   // --- Adaptive Two Phase ablation knob ---
@@ -186,6 +171,11 @@ class NodeContext {
               HeapFile* local_partition, Disk* disk, Transport* transport,
               NetworkModel* net, double obs_wall_epoch_s = -1);
 
+  /// Deletes the stored result file, if the run created one: its pages
+  /// were charged by the run's last SyncDiskIo and nothing reads them
+  /// back, so keeping them would only grow the node disk run by run.
+  ~NodeContext();
+
   NodeContext(const NodeContext&) = delete;
   NodeContext& operator=(const NodeContext&) = delete;
 
@@ -211,33 +201,13 @@ class NodeContext {
     estimated_groups_ = groups;
   }
 
-  /// Sampling's cluster-wide merge resolution under MergeMode::kAuto:
-  /// the chosen topology plus the inputs that picked it (global group
-  /// estimate, skew in fixed-point 256 = uniform). Defaults to the seed
-  /// wire, so algorithms without a sampling phase only leave it when the
-  /// run pins a topology explicitly. Never shipped implicitly — the
-  /// sampling coordinator broadcasts the decision so every node agrees.
-  MergeTopology sampled_merge_topology() const {
-    return sampled_merge_topology_;
-  }
-  int64_t sampled_merge_groups() const { return sampled_merge_groups_; }
-  int32_t sampled_merge_skew_q8() const { return sampled_merge_skew_q8_; }
-  void set_sampled_merge(MergeTopology topology, int64_t est_groups,
-                         int32_t skew_q8) {
-    sampled_merge_topology_ = topology;
-    sampled_merge_groups_ = est_groups;
-    sampled_merge_skew_q8_ = skew_q8;
-  }
-
-  /// Cross-node shared merge table arena (null outside in-process
-  /// clusters; the shared topology then demotes to the seed wire).
-  SharedMergeArena* merge_arena() { return merge_arena_; }
-  void SetMergeArena(SharedMergeArena* arena) { merge_arena_ = arena; }
-
-  /// True when every node of the mesh lives in this address space, the
-  /// precondition for merging into one shared table.
-  bool shared_memory_transport() const {
-    return transport_ != nullptr && transport_->shared_memory();
+  /// Sampling-phase estimate of the cluster-wide distinct-group count
+  /// (0 = no estimate). The sampling coordinator computes it from the
+  /// unioned sample and broadcasts it with its decision, so every node
+  /// holds the same value; read by the merge table's radix decision.
+  int64_t sampled_global_groups() const { return sampled_global_groups_; }
+  void set_sampled_global_groups(int64_t groups) {
+    sampled_global_groups_ = groups;
   }
 
   HeapFile* local_partition() { return local_partition_; }
@@ -292,16 +262,6 @@ class NodeContext {
   /// Charges any disk I/O performed since the last sync (sequential and
   /// random page costs) onto the clock.
   void SyncDiskIo();
-
-  /// Phantom accounting for merge topologies that reroute the seed
-  /// partial stream: charges exactly what sending (receiving) one wire
-  /// page of `charged_bytes` modeled bytes charges — protocol CPU plus
-  /// wire occupancy — without any frame travelling and without touching
-  /// transport sequence numbers or message counters. Totals stay
-  /// order-independent because receive never advances to depart time
-  /// (see NetworkModel::OnReceive).
-  void ChargePhantomSend(uint32_t charged_bytes);
-  void ChargePhantomReceive(uint32_t charged_bytes);
 
   // --- payload buffer pool ---
   /// Pops a recycled page-payload buffer (or an empty vector when the
@@ -396,10 +356,7 @@ class NodeContext {
   CostClock clock_;
   NodeRunStats stats_;
   int64_t estimated_groups_ = 0;
-  MergeTopology sampled_merge_topology_ = MergeTopology::kSeed;
-  int64_t sampled_merge_groups_ = 0;
-  int32_t sampled_merge_skew_q8_ = 256;
-  SharedMergeArena* merge_arena_ = nullptr;
+  int64_t sampled_global_groups_ = 0;
   std::unique_ptr<NodeObs> obs_;
   PagePool page_pool_;
   DiskStats last_disk_;

@@ -45,8 +45,8 @@ namespace simd {
 /// Which instruction set the process-wide dispatcher resolved to.
 enum class DispatchKind {
   kScalar,  ///< portable fallback (also under ADAPTAGG_FORCE_SCALAR)
-  kAvx2,    ///< x86-64 with AVX2: 8-lane hash + gathered probe classify
-  kNeon,    ///< aarch64: 128-bit merge kernels, scalar hash/probe
+  kAvx2,    ///< x86-64 with AVX2: 8-lane key hashing + merge kernels
+  kNeon,    ///< aarch64: 128-bit merge kernels, scalar hashing
 };
 
 /// Resolved dispatch of this process (cached after the first call; the
@@ -81,46 +81,6 @@ void HashKeysFnvWords(const uint8_t* recs, int stride, int words, int n,
 void HashKeysFnvWordsScalar(const uint8_t* recs, int stride, int words,
                             int n, uint64_t basis, uint64_t prime,
                             uint64_t* out);
-
-// ---------------------------------------------------------------------
-// Probe classification: one register-wide compare of candidate slot
-// keys against probe keys for an open-addressing table with 8-byte
-// keys. The caller resolves each lane in record order, so insert/update
-// semantics (and stop-at-full precision) stay exactly scalar.
-// ---------------------------------------------------------------------
-
-/// Classification of 8 probes against their *home* buckets.
-struct Classify8 {
-  /// Bucket head (slot index, -1 = empty) at each probe's home position.
-  int64_t slots[8];
-  /// Bit i: home bucket occupied and its slot key equals probe key i.
-  /// Hits stay valid across later inserts in the same batch — linear
-  /// probing never relocates an entry and keys are immutable.
-  uint32_t hit_mask;
-  /// Bit i: home bucket empty at classification time. Only valid until
-  /// the first insert after the classify call.
-  uint32_t empty_mask;
-};
-
-/// Classifies 8 probe records (8-byte key prefix, `stride` bytes apart)
-/// against `buckets`/`arena`. `hashes` holds the 8 precomputed key
-/// hashes contiguously. Slot indices and `slot_width` must fit in
-/// uint32 (the AVX2 path forms byte offsets with a 32x32->64 multiply).
-using ProbeClassify8Fn = void (*)(const int64_t* buckets,
-                                  uint64_t bucket_mask,
-                                  const uint8_t* arena, int64_t slot_width,
-                                  const uint8_t* recs, int stride,
-                                  const uint64_t* hashes, Classify8* out);
-
-/// The dispatched classifier (resolve once per batch, then call per
-/// group of 8).
-ProbeClassify8Fn ResolveProbeClassify8();
-
-/// Scalar reference classifier (also the dispatched fallback).
-void ProbeClassify8Scalar(const int64_t* buckets, uint64_t bucket_mask,
-                          const uint8_t* arena, int64_t slot_width,
-                          const uint8_t* recs, int stride,
-                          const uint64_t* hashes, Classify8* out);
 
 // ---------------------------------------------------------------------
 // Fused aggregate/merge arithmetic. The 128-bit forms need no runtime
@@ -286,57 +246,6 @@ ADAPTAGG_TARGET_AVX2 inline void HashKeysFnvWordsAvx2(
     HashKeysFnvWordsScalar(recs + static_cast<int64_t>(i) * stride, stride,
                            words, n - i, basis, prime, out + i);
   }
-}
-
-/// AVX2 body of ProbeClassify8: gathers the 8 home-bucket heads, mask-
-/// gathers the occupied slots' keys, and compares them against the probe
-/// keys in one register. Masked-out (empty) lanes perform no memory
-/// access, so the bogus offsets formed from -1 slots are never read.
-ADAPTAGG_TARGET_AVX2 inline void ProbeClassify8Avx2(
-    const int64_t* buckets, uint64_t bucket_mask, const uint8_t* arena,
-    int64_t slot_width, const uint8_t* recs, int stride,
-    const uint64_t* hashes, Classify8* out) {
-  const __m256i mask_v =
-      _mm256_set1_epi64x(static_cast<long long>(bucket_mask));
-  const __m256i neg1 = _mm256_set1_epi64x(-1);
-  const __m256i width_v =
-      _mm256_set1_epi64x(static_cast<long long>(slot_width));
-  uint32_t hit = 0;
-  uint32_t empty = 0;
-  for (int half = 0; half < 2; ++half) {
-    const int base = half * 4;
-    __m256i h = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(hashes + base));
-    __m256i pos = _mm256_and_si256(h, mask_v);
-    __m256i slot = _mm256_i64gather_epi64(
-        reinterpret_cast<const long long*>(buckets), pos, 8);
-    __m256i occupied = _mm256_cmpgt_epi64(slot, neg1);
-    // Byte offset of each occupied slot's key: slot * slot_width. Both
-    // fit in 32 bits (caller contract), so the even-lane 32x32->64
-    // multiply is exact; empty lanes produce garbage that the gather
-    // mask discards without touching memory.
-    __m256i off = _mm256_mul_epu32(slot, width_v);
-    __m256i keys = _mm256_mask_i64gather_epi64(
-        _mm256_setzero_si256(), reinterpret_cast<const long long*>(arena),
-        off, occupied, 1);
-    __m256i probe = _mm256_set_epi64x(
-        internal::KeyWord(recs, stride, base + 3, 0),
-        internal::KeyWord(recs, stride, base + 2, 0),
-        internal::KeyWord(recs, stride, base + 1, 0),
-        internal::KeyWord(recs, stride, base + 0, 0));
-    __m256i hit_v =
-        _mm256_and_si256(_mm256_cmpeq_epi64(keys, probe), occupied);
-    hit |= static_cast<uint32_t>(
-               _mm256_movemask_pd(_mm256_castsi256_pd(hit_v)))
-           << base;
-    empty |= static_cast<uint32_t>(_mm256_movemask_pd(
-                 _mm256_castsi256_pd(_mm256_andnot_si256(occupied, neg1))))
-             << base;
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out->slots + base),
-                        slot);
-  }
-  out->hit_mask = hit;
-  out->empty_mask = empty;
 }
 
 /// AVX2 body of the MIN/MAX(int64) partial merge: per op one 128-bit

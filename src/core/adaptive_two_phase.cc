@@ -1,6 +1,5 @@
 #include "cluster/recovery.h"
 #include "core/algorithm.h"
-#include "core/merge_topology.h"
 #include "core/phases.h"
 
 namespace adaptagg {
@@ -36,11 +35,7 @@ class AdaptiveTwoPhase : public Algorithm {
     SpillingAggregator global(&spec, ctx.disk(), ctx.max_hash_entries(),
                               ctx.options().spill_fanout,
                               "ga2p_n" + std::to_string(ctx.node_id()));
-    MergePlane merge(&ctx, &global,
-                     MergePlane::Config{
-                         [n](uint64_t h) { return DestOfKeyHash(h, n); },
-                         /*broadcast_eos=*/true, /*supported=*/true});
-    DataReceiver& recv = merge.receiver(n);
+    DataReceiver recv(&ctx, &global, n);
     if (restore != nullptr) {
       ADAPTAGG_RETURN_IF_ERROR(global.RestoreFrom(
           restore->global_partials.data(), restore->global_partials.size()));
@@ -61,8 +56,8 @@ class AdaptiveTwoPhase : public Algorithm {
         return Status::OK();
       });
     }
-    // Raw repartitioned tuples always travel the seed wire; only the
-    // partial stream goes through the merge plane.
+    Exchange ex_partial(&ctx, MessageType::kPartialPage,
+                        spec.partial_width(), kPhaseData);
     Exchange ex_raw(&ctx, MessageType::kRawPage, spec.projected_width(),
                     kPhaseData);
 
@@ -103,7 +98,7 @@ class AdaptiveTwoPhase : public Algorithm {
                      {"table_size", local.size()},
                      {"table_limit", limit}});
                 ADAPTAGG_RETURN_IF_ERROR(
-                    SendTablePartials(ctx, local, merge));
+                    SendTablePartials(ctx, local, ex_partial));
                 repartition_mode = true;
                 ctx.clock().AddCpu(p.t_d());
                 ++ctx.stats().raw_records_sent;
@@ -125,11 +120,11 @@ class AdaptiveTwoPhase : public Algorithm {
 
       if (!repartition_mode) {
         // Never overflowed: behave exactly like Two Phase's handoff.
-        ADAPTAGG_RETURN_IF_ERROR(SendTablePartials(ctx, local, merge));
+        ADAPTAGG_RETURN_IF_ERROR(SendTablePartials(ctx, local, ex_partial));
       }
-      ADAPTAGG_RETURN_IF_ERROR(merge.FlushPartials());
+      ADAPTAGG_RETURN_IF_ERROR(ex_partial.FlushAll());
       ADAPTAGG_RETURN_IF_ERROR(ex_raw.FlushAll());
-      ADAPTAGG_RETURN_IF_ERROR(merge.SendDataEos());
+      ADAPTAGG_RETURN_IF_ERROR(BroadcastEos(&ctx, kPhaseData));
       scan_span.AddArg("tuples_scanned", ctx.stats().tuples_scanned);
       scan_span.AddArg("switched", repartition_mode ? 1 : 0);
     }
@@ -140,7 +135,7 @@ class AdaptiveTwoPhase : public Algorithm {
       PhaseTimer merge_span = ctx.obs().StartPhase("merge");
       ADAPTAGG_RETURN_IF_ERROR(recv.Drain());
     }
-    return merge.FinishAndEmit();
+    return EmitFinalResults(ctx, global);
   }
 };
 

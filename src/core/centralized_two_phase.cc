@@ -1,5 +1,4 @@
 #include "core/algorithm.h"
-#include "core/merge_topology.h"
 #include "core/phases.h"
 
 namespace adaptagg {
@@ -23,11 +22,9 @@ class CentralizedTwoPhase : public Algorithm {
     SpillingAggregator global(&spec, ctx.disk(), ctx.max_hash_entries(),
                               ctx.options().spill_fanout,
                               "gc2p_n" + std::to_string(ctx.node_id()));
-    MergePlane merge(&ctx, &global,
-                     MergePlane::Config{
-                         [](uint64_t) { return kCoordinator; },
-                         /*broadcast_eos=*/false, /*supported=*/true});
-    DataReceiver& recv = merge.receiver(ctx.is_coordinator() ? n : 0);
+    DataReceiver recv(&ctx, &global, ctx.is_coordinator() ? n : 0);
+    Exchange ex(&ctx, MessageType::kPartialPage, spec.partial_width(),
+                kPhaseData);
 
     // Phase 1: local aggregation.
     SpillingAggregator local(&spec, ctx.disk(), ctx.max_hash_entries(),
@@ -58,29 +55,29 @@ class CentralizedTwoPhase : public Algorithm {
           }));
 
       // All partials go to the coordinator.
-      ADAPTAGG_RETURN_IF_ERROR(SendPartials(ctx, local, merge));
-      ADAPTAGG_RETURN_IF_ERROR(merge.FlushPartials());
-      ADAPTAGG_RETURN_IF_ERROR(merge.SendDataEos());
+      ADAPTAGG_RETURN_IF_ERROR(SendPartials(ctx, local, ex, kCoordinator));
+      ADAPTAGG_RETURN_IF_ERROR(ex.FlushAll());
+      Message eos;
+      eos.type = MessageType::kEndOfStream;
+      eos.phase = kPhaseData;
+      ADAPTAGG_RETURN_IF_ERROR(ctx.Send(kCoordinator, eos));
       scan_span.AddArg("tuples_scanned", ctx.stats().tuples_scanned);
     }
 
-    if (merge.seed_wire() && !ctx.is_coordinator()) {
-      // Seed wire: workers are done once their partials left. The
-      // non-seed topologies need every node in the reduction and emit
-      // rounds, so those fall through to the shared tail below.
+    if (!ctx.is_coordinator()) {
+      // Workers are done once their partials left.
       ADAPTAGG_RETURN_IF_ERROR(ctx.EnterPhase("emit"));
       PhaseTimer emit_span = ctx.obs().StartPhase("emit");
       return ctx.FinishResults();
     }
 
-    // Phase 2: sequential merge and store (workers drain an empty
-    // expectation and emit no rows on the non-seed topologies).
+    // Phase 2: sequential merge and store on the coordinator.
     {
       ADAPTAGG_RETURN_IF_ERROR(ctx.EnterPhase("merge"));
       PhaseTimer merge_span = ctx.obs().StartPhase("merge");
       ADAPTAGG_RETURN_IF_ERROR(recv.Drain());
     }
-    return merge.FinishAndEmit();
+    return EmitFinalResults(ctx, global);
   }
 };
 

@@ -1,10 +1,11 @@
 #include "core/phases.h"
 
 #include <algorithm>
+#include <cstring>
+#include <string>
 
 #include "cluster/recovery.h"
 #include "common/logging.h"
-#include "core/merge_topology.h"
 
 namespace adaptagg {
 namespace {
@@ -28,6 +29,20 @@ void MaybeEnableRadix(NodeContext& ctx, SpillingAggregator& agg,
                            {{"partitions", d.partitions},
                             {"est_groups", est_groups},
                             {"working_set_bytes", d.working_set_bytes}});
+}
+
+/// Expected group count of this node's merge table, which owns ~1/n of
+/// the groups routed by key hash: the Sampling coordinator's broadcast
+/// cluster-wide estimate when there is one, else this node's local
+/// estimate. Recovery-armed runs always take the local estimate: a radix
+/// table refuses Snapshot, so engaging it on more of them would skip
+/// their merge-phase checkpoints.
+int64_t MergeTableGroups(NodeContext& ctx) {
+  const int64_t est = ctx.recovery() == nullptr &&
+                              ctx.sampled_global_groups() > 0
+                          ? ctx.sampled_global_groups()
+                          : ctx.estimated_local_groups();
+  return est / std::max(ctx.num_nodes(), 1);
 }
 
 }  // namespace
@@ -97,13 +112,6 @@ void DataReceiver::SetReplayWatermarks(const std::vector<uint64_t>& wm) {
 }
 
 Status DataReceiver::Handle(Message& msg) {
-  if (merge_plane_ != nullptr && msg.phase >= kPhaseMergeReduce) {
-    // Reduction-round traffic that raced ahead of the last data EOS;
-    // parked for the merge plane's own receive loops (flushed to the
-    // stash when Drain completes).
-    pending_merge_.push_back(std::move(msg));
-    return Status::OK();
-  }
   switch (msg.type) {
     case MessageType::kPartialPage:
     case MessageType::kRawPage: {
@@ -129,11 +137,6 @@ Status DataReceiver::Handle(Message& msg) {
     }
     case MessageType::kEndOfStream:
       if (msg.phase == kPhaseData) {
-        if (merge_plane_ != nullptr && !msg.payload.empty()) {
-          // Non-seed topologies attach a phantom-charge ledger to their
-          // data EOS; replay the seed's receive-side costs from it.
-          ADAPTAGG_RETURN_IF_ERROR(merge_plane_->FoldLedger(msg));
-        }
         ++eos_seen_;
         // Liveness bookkeeping only (duplicated messages were already
         // discarded by sequence number below this layer).
@@ -178,11 +181,50 @@ Status DataReceiver::Drain() {
         }));
     ADAPTAGG_RETURN_IF_ERROR(Handle(msg));
   }
-  for (Message& msg : pending_merge_) {
-    ctx_->Stash(std::move(msg));
-  }
-  pending_merge_.clear();
   return Status::OK();
+}
+
+Status SendPartials(NodeContext& ctx, SpillingAggregator& agg, Exchange& ex,
+                    int dest) {
+  const AggregationSpec& spec = ctx.spec();
+  const int n = ctx.num_nodes();
+  std::vector<uint8_t> rec(static_cast<size_t>(spec.partial_width()));
+  Status status;
+  Status finish = agg.Finish([&](const uint8_t* key, const uint8_t* state) {
+    if (!status.ok()) return;
+    ctx.clock().AddCpu(ctx.params().t_w());
+    std::memcpy(rec.data(), key, static_cast<size_t>(spec.key_width()));
+    std::memcpy(rec.data() + spec.key_width(), state,
+                static_cast<size_t>(spec.state_width()));
+    ++ctx.stats().partial_records_sent;
+    status = ex.AddRecord(
+        dest == kDestOfKey ? DestOfKeyHash(spec.HashKey(key), n) : dest,
+        rec.data());
+  });
+  ctx.stats().spill.Accumulate(agg.stats());
+  AccumulateHashTableObs(ctx, agg.ht_stats());
+  ctx.SyncDiskIo();
+  if (!finish.ok()) return finish;
+  return status;
+}
+
+Status SendTablePartials(NodeContext& ctx, AggHashTable& table,
+                         Exchange& ex) {
+  const AggregationSpec& spec = ctx.spec();
+  const int n = ctx.num_nodes();
+  std::vector<uint8_t> rec(static_cast<size_t>(spec.partial_width()));
+  Status status;
+  table.ForEach([&](const uint8_t* key, const uint8_t* state) {
+    if (!status.ok()) return;
+    ctx.clock().AddCpu(ctx.params().t_w());
+    std::memcpy(rec.data(), key, static_cast<size_t>(spec.key_width()));
+    std::memcpy(rec.data() + spec.key_width(), state,
+                static_cast<size_t>(spec.state_width()));
+    ++ctx.stats().partial_records_sent;
+    status = ex.AddRecord(DestOfKeyHash(spec.HashKey(key), n), rec.data());
+  });
+  table.Clear();
+  return status;
 }
 
 Status EmitFinalResults(NodeContext& ctx, SpillingAggregator& global) {
@@ -220,15 +262,11 @@ Status RunTwoPhaseBody(NodeContext& ctx) {
                             ctx.options().spill_fanout,
                             "g2p_n" + std::to_string(ctx.node_id()));
   if (restore == nullptr) {
-    // Each node's merge table owns ~1/n of the groups routed by key hash.
-    MaybeEnableRadix(ctx, global, "global",
-                     ctx.estimated_local_groups() / std::max(n, 1));
+    MaybeEnableRadix(ctx, global, "global", MergeTableGroups(ctx));
   }
-  MergePlane merge(&ctx, &global,
-                   MergePlane::Config{
-                       [n](uint64_t h) { return DestOfKeyHash(h, n); },
-                       /*broadcast_eos=*/true, /*supported=*/true});
-  DataReceiver& recv = merge.receiver(n);
+  DataReceiver recv(&ctx, &global, n);
+  Exchange ex(&ctx, MessageType::kPartialPage, spec.partial_width(),
+              kPhaseData);
 
   // Phase 1: aggregate the local partition.
   SpillingAggregator local(&spec, ctx.disk(), ctx.max_hash_entries(),
@@ -312,9 +350,9 @@ Status RunTwoPhaseBody(NodeContext& ctx) {
     // Ship local partials to their owner nodes. On replay this
     // regenerates the identical stream; receivers that already folded a
     // page skip it by its deterministic page_seq.
-    ADAPTAGG_RETURN_IF_ERROR(SendPartials(ctx, local, merge));
-    ADAPTAGG_RETURN_IF_ERROR(merge.FlushPartials());
-    ADAPTAGG_RETURN_IF_ERROR(merge.SendDataEos());
+    ADAPTAGG_RETURN_IF_ERROR(SendPartials(ctx, local, ex, kDestOfKey));
+    ADAPTAGG_RETURN_IF_ERROR(ex.FlushAll());
+    ADAPTAGG_RETURN_IF_ERROR(BroadcastEos(&ctx, kPhaseData));
     scan_span.AddArg("tuples_scanned", ctx.stats().tuples_scanned);
   }
 
@@ -324,7 +362,7 @@ Status RunTwoPhaseBody(NodeContext& ctx) {
     PhaseTimer merge_span = ctx.obs().StartPhase("merge");
     ADAPTAGG_RETURN_IF_ERROR(recv.Drain());
   }
-  return merge.FinishAndEmit();
+  return EmitFinalResults(ctx, global);
 }
 
 Status RunRepartitioningBody(NodeContext& ctx) {
@@ -343,16 +381,9 @@ Status RunRepartitioningBody(NodeContext& ctx) {
                             ctx.options().spill_fanout,
                             "grep_n" + std::to_string(ctx.node_id()));
   if (restore == nullptr) {
-    // Repartitioning routes raw tuples by key hash, so this node's table
-    // holds ~1/n of the groups.
-    MaybeEnableRadix(ctx, global, "global",
-                     ctx.estimated_local_groups() / std::max(n, 1));
+    MaybeEnableRadix(ctx, global, "global", MergeTableGroups(ctx));
   }
-  MergePlane merge(&ctx, &global,
-                   MergePlane::Config{
-                       [n](uint64_t h) { return DestOfKeyHash(h, n); },
-                       /*broadcast_eos=*/true, /*supported=*/true});
-  DataReceiver& recv = merge.receiver(n);
+  DataReceiver recv(&ctx, &global, n);
   if (restore != nullptr) {
     ADAPTAGG_RETURN_IF_ERROR(global.RestoreFrom(
         restore->global_partials.data(), restore->global_partials.size()));
@@ -398,9 +429,7 @@ Status RunRepartitioningBody(NodeContext& ctx) {
         }));
 
     ADAPTAGG_RETURN_IF_ERROR(ex.FlushAll());
-    // No partial stream here, so the merge plane's EOS carries no
-    // ledger; it is the seed broadcast either way.
-    ADAPTAGG_RETURN_IF_ERROR(merge.SendDataEos());
+    ADAPTAGG_RETURN_IF_ERROR(BroadcastEos(&ctx, kPhaseData));
     scan_span.AddArg("tuples_scanned", ctx.stats().tuples_scanned);
   }
   {
@@ -408,7 +437,7 @@ Status RunRepartitioningBody(NodeContext& ctx) {
     PhaseTimer merge_span = ctx.obs().StartPhase("merge");
     ADAPTAGG_RETURN_IF_ERROR(recv.Drain());
   }
-  return merge.FinishAndEmit();
+  return EmitFinalResults(ctx, global);
 }
 
 }  // namespace adaptagg

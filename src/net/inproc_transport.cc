@@ -55,8 +55,6 @@ class InprocTransport : public Transport {
     return mesh_->inboxes[static_cast<size_t>(node_id_)].max_depth();
   }
 
-  bool shared_memory() const override { return true; }
-
  private:
   std::shared_ptr<InprocMesh> mesh_;
   int node_id_;

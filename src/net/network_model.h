@@ -57,11 +57,8 @@ class NetworkModel {
   /// Bytes to charge for a message: the modeled size the sender stamped
   /// (the exchange ships wire-trimmed pages but charges the full page,
   /// keeping modeled time independent of the trim), or the real payload
-  /// when unstamped. kExemptChargedBytes marks cost-exempt frames
-  /// (merge-topology reduction traffic whose seed-stream charges were
-  /// applied through phantom accounting): zero pages, zero cost.
+  /// when unstamped.
   static size_t ChargeBasis(const Message& msg) {
-    if (msg.charged_bytes == kExemptChargedBytes) return 0;
     return msg.charged_bytes > 0 ? msg.charged_bytes : msg.payload.size();
   }
 

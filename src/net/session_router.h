@@ -51,12 +51,6 @@ class SessionRouter {
 
   int num_nodes() const { return static_cast<int>(physical_.size()); }
 
-  /// True when the underlying physical mesh is in-process (see
-  /// Transport::shared_memory); session endpoints forward this.
-  bool shared_memory() const {
-    return !physical_.empty() && physical_.front()->shared_memory();
-  }
-
   /// Registers session `query_id` and returns its namespaced endpoints,
   /// one Transport per node. `query_id` must be nonzero and not
   /// currently open. The endpoints outlive CloseSession (their channels
@@ -138,7 +132,6 @@ class SessionTransport : public Transport {
   std::optional<Message> TryRecv() override;
 
   size_t inbox_high_water() const override { return inbox_->max_depth(); }
-  bool shared_memory() const override { return router_->shared_memory(); }
   void SimulateFailStop() override {
     failed_.store(true, std::memory_order_release);
   }

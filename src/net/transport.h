@@ -47,11 +47,6 @@ class Transport {
   /// (checksum mismatch, bad type). Always 0 for in-process transports.
   virtual uint64_t frames_rejected() const { return 0; }
 
-  /// True when every endpoint of this mesh lives in one address space
-  /// (in-process channels), so nodes can share a merge table directly.
-  /// Wrapping transports must forward this; socket meshes report false.
-  virtual bool shared_memory() const { return false; }
-
   /// Puts the endpoint into fail-stop mode: every later Send is silently
   /// swallowed, as if the node's process died. Used by fault injection to
   /// model crashes realistically (a dead node notifies nobody); a plain

@@ -90,6 +90,11 @@ Status SimDisk::DeleteFile(FileId file) {
   return Status::OK();
 }
 
+int64_t SimDisk::num_files() const {
+  MutexLock lock(&mu_);
+  return static_cast<int64_t>(files_.size());
+}
+
 // ---------------------------------------------------------------------------
 // FileDisk
 

@@ -104,6 +104,9 @@ class SimDisk : public Disk {
   Result<int64_t> NumPages(FileId file) const override;
   Status DeleteFile(FileId file) override;
 
+  /// Files currently stored (created and not yet deleted).
+  int64_t num_files() const;
+
  private:
   mutable Mutex mu_;
   FileId next_id_ ADAPTAGG_GUARDED_BY(mu_) = 1;

@@ -45,31 +45,6 @@ class ScopedForceScalar {
   std::string prev_;
 };
 
-/// Pins ADAPTAGG_FORCE_CLASSIFY=1, routing eligible batch upserts
-/// through the 8-lane classify probe (dormant by default — the
-/// streaming loop measured faster everywhere; see AggHashTable::
-/// UseClassify).
-class ScopedForceClassify {
- public:
-  ScopedForceClassify() {
-    const char* prev = std::getenv("ADAPTAGG_FORCE_CLASSIFY");
-    had_prev_ = prev != nullptr;
-    if (had_prev_) prev_ = prev;
-    setenv("ADAPTAGG_FORCE_CLASSIFY", "1", 1);
-  }
-  ~ScopedForceClassify() {
-    if (had_prev_) {
-      setenv("ADAPTAGG_FORCE_CLASSIFY", prev_.c_str(), 1);
-    } else {
-      unsetenv("ADAPTAGG_FORCE_CLASSIFY");
-    }
-  }
-
- private:
-  bool had_prev_ = false;
-  std::string prev_;
-};
-
 /// One matrix cell: a spec over the 5-column test schema plus the data
 /// shape that exercises it.
 struct Cell {
@@ -292,7 +267,7 @@ TEST_F(SimdDifferentialTest, DispatchedMatchesForcedScalarInMemory) {
 
 TEST_F(SimdDifferentialTest, DispatchedMatchesForcedScalarWithSpill) {
   // A tiny table bound forces overflow spilling and recursive repasses,
-  // so the stop/overflow classification lanes are exercised too.
+  // so the overflow and spill paths are exercised too.
   for (const Cell& cell : Matrix()) {
     const AggregationSpec spec = MakeCellSpec(&schema_, cell);
     const std::vector<uint8_t> vec =
@@ -313,42 +288,6 @@ TEST_F(SimdDifferentialTest, PartialMergePathMatchesForcedScalar) {
     const std::vector<uint8_t> sca =
         RunPartials(spec, rows_, kRows, /*max_entries=*/100'000, 0);
     EXPECT_EQ(vec, sca) << cell.name;
-  }
-}
-
-TEST_F(SimdDifferentialTest, ClassifyProbeMatchesStreamingBitIdentically) {
-  // The forced classify probe reorders nothing and resolves lanes in
-  // record order, so against the default streaming loop every cell must
-  // match byte for byte — table state AND emit order. Cells with 16/24
-  // byte keys fall back to streaming even under the force (the
-  // classifier is 8-byte-key only), which must also be a no-op.
-  for (const Cell& cell : Matrix()) {
-    const AggregationSpec spec = MakeCellSpec(&schema_, cell);
-    const std::vector<uint8_t> stream =
-        RunProjected(spec, rows_, kRows, /*max_entries=*/100'000, 0);
-    const std::vector<uint8_t> stream_p =
-        RunPartials(spec, rows_, kRows, /*max_entries=*/100'000, 0);
-    ScopedForceClassify force;
-    EXPECT_EQ(stream,
-              RunProjected(spec, rows_, kRows, /*max_entries=*/100'000, 0))
-        << cell.name;
-    EXPECT_EQ(stream_p,
-              RunPartials(spec, rows_, kRows, /*max_entries=*/100'000, 0))
-        << cell.name;
-  }
-}
-
-TEST_F(SimdDifferentialTest, ClassifyStopAtFullMatchesStreaming) {
-  // A 64-slot table under classify: the stop-at-full lane precision and
-  // the overflow hand-off must agree with the streaming loop exactly.
-  for (const Cell& cell : Matrix()) {
-    const AggregationSpec spec = MakeCellSpec(&schema_, cell);
-    const std::vector<uint8_t> stream =
-        RunProjected(spec, rows_, kRows, /*max_entries=*/64, 0);
-    ScopedForceClassify force;
-    EXPECT_EQ(stream,
-              RunProjected(spec, rows_, kRows, /*max_entries=*/64, 0))
-        << cell.name;
   }
 }
 

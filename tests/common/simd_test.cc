@@ -124,87 +124,6 @@ TEST(SimdHash, DispatchedMatchesScalarReference) {
   EXPECT_EQ(dispatched, scalar);
 }
 
-TEST(SimdClassify, DispatchedMatchesScalarReference) {
-  // A miniature open-addressing layout: 16 buckets over 8-byte-key slots
-  // of 24 bytes, covering hit, empty, and collision (wrong-key) lanes.
-  constexpr int64_t kSlotWidth = 24;
-  constexpr uint64_t kBucketMask = 15;
-  std::vector<uint8_t> arena(8 * kSlotWidth);
-  std::vector<int64_t> buckets(16, -1);
-  std::vector<uint8_t> recs(8 * 16);
-  uint64_t hashes[8];
-  for (int i = 0; i < 8; ++i) {
-    const int64_t key = 1000 + i;
-    std::memcpy(recs.data() + i * 16, &key, 8);
-    hashes[i] = HashBytes(&key, 8, 0x5ca1ab1eULL);
-  }
-  // Slot 0..3 hold records 0..3's keys at their home buckets (hits);
-  // records 4..5 find empty homes; 6..7 collide with a stranger key.
-  for (int i = 0; i < 4; ++i) {
-    std::memcpy(arena.data() + i * kSlotWidth, recs.data() + i * 16, 8);
-    buckets[hashes[i] & kBucketMask] = i;
-  }
-  const int64_t stranger = -77;
-  for (int i = 6; i < 8; ++i) {
-    const int64_t slot = i;
-    std::memcpy(arena.data() + slot * kSlotWidth, &stranger, 8);
-    buckets[hashes[i] & kBucketMask] = slot;
-  }
-
-  Classify8 scalar;
-  ProbeClassify8Scalar(buckets.data(), kBucketMask, arena.data(),
-                       kSlotWidth, recs.data(), 16, hashes, &scalar);
-  Classify8 dispatched;
-  ResolveProbeClassify8()(buckets.data(), kBucketMask, arena.data(),
-                          kSlotWidth, recs.data(), 16, hashes,
-                          &dispatched);
-
-  EXPECT_EQ(dispatched.hit_mask, scalar.hit_mask);
-  EXPECT_EQ(dispatched.empty_mask, scalar.empty_mask);
-  for (int i = 0; i < 8; ++i) {
-    EXPECT_EQ(dispatched.slots[i], scalar.slots[i]) << i;
-  }
-  // Sanity against the constructed layout (unless home buckets collided
-  // by accident, lanes 0-3 hit and 6-7 are ambiguous).
-  EXPECT_EQ(scalar.hit_mask & scalar.empty_mask, 0u);
-}
-
-TEST(SimdClassify, RandomTablesAgreeLaneForLane) {
-  Prng prng(7);
-  for (int trial = 0; trial < 50; ++trial) {
-    const uint64_t bucket_mask = 63;
-    const int64_t slot_width = 16 + 8 * static_cast<int64_t>(trial % 3);
-    std::vector<int64_t> buckets(64);
-    std::vector<uint8_t> arena(32 * static_cast<size_t>(slot_width));
-    for (auto& b : buckets) {
-      b = (prng.Next() % 3 == 0) ? -1
-                                 : static_cast<int64_t>(prng.Next() % 32);
-    }
-    for (size_t i = 0; i + 8 <= arena.size(); i += 8) {
-      const uint64_t v = prng.Next() % 16;
-      std::memcpy(arena.data() + i, &v, 8);
-    }
-    std::vector<uint8_t> recs(8 * 16);
-    uint64_t hashes[8];
-    for (int i = 0; i < 8; ++i) {
-      const uint64_t key = prng.Next() % 16;
-      std::memcpy(recs.data() + i * 16, &key, 8);
-      hashes[i] = prng.Next();
-    }
-    Classify8 a;
-    Classify8 b;
-    ProbeClassify8Scalar(buckets.data(), bucket_mask, arena.data(),
-                         slot_width, recs.data(), 16, hashes, &a);
-    ResolveProbeClassify8()(buckets.data(), bucket_mask, arena.data(),
-                            slot_width, recs.data(), 16, hashes, &b);
-    EXPECT_EQ(a.hit_mask, b.hit_mask) << trial;
-    EXPECT_EQ(a.empty_mask, b.empty_mask) << trial;
-    for (int i = 0; i < 8; ++i) {
-      EXPECT_EQ(a.slots[i], b.slots[i]) << trial << ":" << i;
-    }
-  }
-}
-
 TEST(SimdArith, AddInt64PairWrapsLikeScalar) {
   uint8_t state[16];
   int64_t a = std::numeric_limits<int64_t>::max();

@@ -1,7 +1,8 @@
 // End-to-end wiring of the radix pre-partitioning decision and SIMD
 // dispatch observability: the cluster records the decisions as trace
-// instants, the auto policy engages off the sampling estimate (and only
-// then), and radix runs emit exactly the hash-direct results.
+// instants, the auto policy engages off the sampling estimates (and only
+// then), and radix runs emit exactly the hash-direct results at the same
+// modeled time.
 
 #include <gtest/gtest.h>
 
@@ -72,6 +73,27 @@ TEST(RadixWiring, ForcedRadixRecordsEngageInstantsAndMatchesReference) {
   EXPECT_EQ(CountInstants(run, "radix.engage.global"), 2);
 }
 
+/// Radix staging is wall-clock-only: against a kOff run of the same
+/// query, every emitted value, every row's node, and the modeled time
+/// must be identical. `sim_tol` (default: exact) admits the last-ULP
+/// jitter that arrival-order summation of differing per-page charges
+/// leaves between any two runs of the same query.
+void ExpectSameAsRadixOff(const RunResult& run, const RunResult& off,
+                          double sim_tol = 0.0) {
+  EXPECT_TRUE(ResultSetsEqual(run.results, off.results, 0.0))
+      << "radix must not change a single emitted value";
+  EXPECT_NEAR(run.sim_time_s, off.sim_time_s, sim_tol);
+  ASSERT_EQ(run.node_stats.size(), off.node_stats.size());
+  for (size_t i = 0; i < run.node_stats.size(); ++i) {
+    EXPECT_EQ(run.node_stats[i].result_rows, off.node_stats[i].result_rows)
+        << "node " << i;
+  }
+}
+
+/// One picosecond: three orders below the smallest modeled charge, so
+/// any real cost perturbation still fails.
+constexpr double kUlpTolS = 1e-12;
+
 TEST(RadixWiring, RadixOnAndOffEmitIdenticalResults) {
   ASSERT_OK_AND_ASSIGN(Fixture f, MakeFixture(4, 12'000, 300));
   const SystemParams params =
@@ -90,11 +112,7 @@ TEST(RadixWiring, RadixOnAndOffEmitIdenticalResults) {
   RunResult run_off = cluster.Run(*MakeAlgorithm(AlgorithmKind::kTwoPhase),
                                   f.spec, f.rel, off);
   ASSERT_OK(run_off.status);
-  EXPECT_TRUE(ResultSetsEqual(run_on.results, run_off.results, 0.0))
-      << "radix must not change a single emitted value";
-  // And neither perturbs the modeled time: staging is wall-clock-only.
-  ASSERT_EQ(run_on.clocks.size(), run_off.clocks.size());
-  EXPECT_EQ(run_on.sim_time_s, run_off.sim_time_s);
+  ExpectSameAsRadixOff(run_on, run_off);
 }
 
 TEST(RadixWiring, AutoEngagesOffTheSamplingEstimate) {
@@ -123,6 +141,45 @@ TEST(RadixWiring, AutoEngagesOffTheSamplingEstimate) {
   // The decision is observability-only: it must not count as an
   // adaptive switch.
   EXPECT_EQ(run.metrics.Value("core.switches"), 0);
+}
+
+TEST(RadixWiring, AutoEngagesGlobalTableOffTheBroadcastEstimate) {
+  // Groups placed by hash: each node holds a disjoint half of the 800
+  // groups, so its local estimate (~400, ~200 per merge table) stays
+  // under the LLC gate while Sampling's broadcast global estimate (~800,
+  // ~400 per merge table) crosses it. Only the broadcast estimate can
+  // engage the merge-side tables.
+  WorkloadSpec wspec;
+  wspec.num_nodes = 2;
+  wspec.num_tuples = 16'000;
+  wspec.num_groups = 800;
+  wspec.placement = Placement::kHashOnGroup;
+  ASSERT_OK_AND_ASSIGN(PartitionedRelation rel, GenerateRelation(wspec));
+  ASSERT_OK_AND_ASSIGN(AggregationSpec spec, MakeBenchQuery(&rel.schema()));
+  AlgorithmOptions opts;
+  opts.obs.traces = true;
+  opts.gather_results = true;
+  opts.radix_mode = RadixMode::kAuto;
+  // The LLC gate at 300 groups' working set: between the local (~200)
+  // and the global (~400) per-table estimates.
+  opts.radix_llc_bytes =
+      DecideRadixPartitioning(RadixMode::kOff, 300, 8'192,
+                              spec.key_width() + spec.state_width(), -1, -1)
+          .working_set_bytes;
+  opts.crossover_threshold = 1'000'000;  // keep the two-phase body
+  AlgorithmOptions off = opts;
+  off.radix_mode = RadixMode::kOff;
+
+  Cluster cluster(SmallClusterParams(2, 16'000, /*max=*/8'192));
+  RunResult run =
+      cluster.Run(*MakeAlgorithm(AlgorithmKind::kSampling), spec, rel, opts);
+  ASSERT_OK(run.status);
+  EXPECT_EQ(CountInstants(run, "radix.engage.global"), 2);
+  RunResult run_off =
+      cluster.Run(*MakeAlgorithm(AlgorithmKind::kSampling), spec, rel, off);
+  ASSERT_OK(run_off.status);
+  EXPECT_EQ(CountInstants(run_off, "radix.engage.global"), 0);
+  ExpectSameAsRadixOff(run, run_off, kUlpTolS);
 }
 
 TEST(RadixWiring, AutoStaysOffWithoutPressure) {
@@ -157,6 +214,12 @@ TEST(RadixWiring, RepartitioningBodyEngagesGlobalTable) {
   ASSERT_OK(run.status);
   EXPECT_TRUE(ResultSetsEqual(run.results, expected));
   EXPECT_EQ(CountInstants(run, "radix.engage.global"), 2);
+  AlgorithmOptions off = opts;
+  off.radix_mode = RadixMode::kOff;
+  RunResult run_off = cluster.Run(
+      *MakeAlgorithm(AlgorithmKind::kRepartitioning), f.spec, f.rel, off);
+  ASSERT_OK(run_off.status);
+  ExpectSameAsRadixOff(run, run_off, kUlpTolS);
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "core/query.h"
 #include "model/sampling_model.h"
 #include "test_util.h"
 
@@ -68,6 +69,31 @@ TEST(Sampling, ChoosesRepartitioningForManyGroups) {
   int64_t raw = 0;
   for (const auto& s : run.node_stats) raw += s.raw_records_sent;
   EXPECT_EQ(raw, 20'000) << "Repartitioning ships every tuple";
+}
+
+TEST(Sampling, AggregateWithoutGroupByMatchesTwoPhase) {
+  // No GROUP BY means one group: Sampling runs the Two Phase body
+  // without sampling (a zero-width key cannot travel the sample
+  // exchange).
+  WorkloadSpec wspec;
+  wspec.num_nodes = 2;
+  wspec.num_tuples = 20'000;
+  wspec.num_groups = 100;
+  ASSERT_OK_AND_ASSIGN(PartitionedRelation rel, GenerateRelation(wspec));
+  ASSERT_OK_AND_ASSIGN(
+      Query query,
+      QueryBuilder(&rel.schema()).Count("cnt").Sum("v", "s").Build());
+  AlgorithmOptions opts;
+  opts.gather_results = true;
+  Cluster cluster(SmallClusterParams(2, 20'000));
+  RunResult two_phase =
+      query.Execute(cluster, rel, AlgorithmKind::kTwoPhase, opts);
+  ASSERT_OK(two_phase.status);
+  RunResult sampling =
+      query.Execute(cluster, rel, AlgorithmKind::kSampling, opts);
+  ASSERT_OK(sampling.status);
+  EXPECT_EQ(sampling.results.num_rows(), 1);
+  EXPECT_TRUE(ResultSetsEqual(sampling.results, two_phase.results, 0.0));
 }
 
 TEST(Sampling, RandomPageReadsAreCharged) {

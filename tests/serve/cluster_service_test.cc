@@ -220,6 +220,40 @@ TEST(ClusterService, RelationMutationInvalidatesCachedResults) {
   EXPECT_FALSE(again->Wait().from_cache);
 }
 
+TEST(ClusterService, ServedRunsLeaveNoResultFilesBehind) {
+  // Every run stores its rows on the node disks; the files go with the
+  // run, so a resident service's disks do not grow query by query.
+  ASSERT_OK_AND_ASSIGN(PartitionedRelation rel,
+                       MakeServedRelation(2, 6'000, 300));
+  const auto files_on_disks = [&rel]() {
+    int64_t files = 0;
+    for (int i = 0; i < rel.num_nodes(); ++i) {
+      files += dynamic_cast<SimDisk&>(rel.disk(i)).num_files();
+    }
+    return files;
+  };
+  const int64_t before = files_on_disks();
+  ServiceConfig config;
+  config.params = SmallClusterParams(2, 6'000);
+  ASSERT_OK_AND_ASSIGN(std::unique_ptr<ClusterService> service,
+                       ClusterService::Start(config, &rel));
+  ASSERT_OK_AND_ASSIGN(AggregationSpec spec,
+                       MakeBenchQuery(&rel.schema()));
+  ServeQuery query;
+  query.spec = spec;
+  for (int i = 0; i < 20; ++i) {
+    service->InvalidateCache();
+    ASSERT_OK_AND_ASSIGN(QueryTicketPtr ticket, service->Submit(query));
+    const RunResult& run = ticket->Wait();
+    ASSERT_OK(run.status);
+    ASSERT_FALSE(run.from_cache);
+  }
+  // A session is torn down just after its ticket completes; stopping
+  // the service waits for every teardown.
+  service.reset();
+  EXPECT_EQ(files_on_disks(), before);
+}
+
 TEST(ClusterService, BoundedQueueRejectsWithBackpressure) {
   ASSERT_OK_AND_ASSIGN(PartitionedRelation rel,
                        MakeServedRelation(2, 2'000, 100));

@@ -80,7 +80,6 @@ TEST(LintSelfTest, EveryRuleFiresOnItsViolationFixture) {
       {"S11", "src/s11_intrinsics.h"},
       {"S12", "src/s12_cluster_run.h"},
       {"S13", "src/s13_checkpoint.h"},
-      {"S14", "src/s14_shared_merge.h"},
   };
   for (const auto& e : kExpected) {
     EXPECT_TRUE(HasFinding(run.output, e.rule, e.file))

@@ -22,7 +22,6 @@
 #include "cluster/cluster.h"
 #include "core/algorithm.h"
 #include "model/cost_model.h"
-#include "model/merge_model.h"
 #include "net/fault.h"
 #include "obs/trace_export.h"
 #include "serve/cluster_service.h"
@@ -56,7 +55,6 @@ struct CliOptions {
   int64_t checkpoint_every = -1;
   bool serve = false;
   int clients = 4;
-  MergeMode merge_mode = MergeMode::kAuto;
 };
 
 void PrintUsage(const char* argv0) {
@@ -99,13 +97,7 @@ void PrintUsage(const char* argv0) {
       "                       concurrent clients, result cache; prints\n"
       "                       throughput, latency percentiles, and the\n"
       "                       serve.* counters\n"
-      "  --clients N          concurrent clients for --serve (default 4)\n"
-      "  --merge-mode M       final-merge topology: auto|central|tree|\n"
-      "                       radix|shared (default auto: the sampling\n"
-      "                       phase's cost model decides; pins demote to\n"
-      "                       the seed wire when unsupported, e.g.\n"
-      "                       shared over sockets or any pin during\n"
-      "                       recovery)\n",
+      "  --clients N          concurrent clients for --serve (default 4)\n",
       argv0);
 }
 
@@ -207,21 +199,6 @@ Result<CliOptions> ParseArgs(int argc, char** argv) {
     } else if (arg == "--clients") {
       ADAPTAGG_ASSIGN_OR_RETURN(std::string v, next());
       opt.clients = std::atoi(v.c_str());
-    } else if (arg == "--merge-mode") {
-      ADAPTAGG_ASSIGN_OR_RETURN(std::string v, next());
-      if (v == "auto") {
-        opt.merge_mode = MergeMode::kAuto;
-      } else if (v == "central") {
-        opt.merge_mode = MergeMode::kCentral;
-      } else if (v == "tree") {
-        opt.merge_mode = MergeMode::kTree;
-      } else if (v == "radix") {
-        opt.merge_mode = MergeMode::kRadix;
-      } else if (v == "shared") {
-        opt.merge_mode = MergeMode::kShared;
-      } else {
-        return Status::InvalidArgument("bad --merge-mode: " + v);
-      }
     } else {
       return Status::InvalidArgument("unknown flag: " + arg);
     }
@@ -371,7 +348,6 @@ int RunEngine(const CliOptions& opt,
   for (AlgorithmKind kind : algorithms) {
     AlgorithmOptions run_opts;
     run_opts.gather_results = opt.verify;
-    run_opts.merge_mode = opt.merge_mode;
     run_opts.fault_plan = fault_plan;
     if (opt.fault_timeout > 0) {
       run_opts.failure.enabled = true;
