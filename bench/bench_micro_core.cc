@@ -1,8 +1,10 @@
 // Microbenchmarks of the hot building blocks (google-benchmark): the
 // aggregation hash table (scalar and batched), the spilling aggregator,
-// page building, key hashing, and the workload generators — plus a
-// wall-clock scalar-vs-batch local-aggregation harness whose numbers are
-// written to BENCH_micro_core.json (see EXPERIMENTS.md).
+// page building, key hashing, and the workload generators — plus two
+// wall-clock harnesses whose numbers are written to BENCH_micro_core.json
+// (see EXPERIMENTS.md): scalar-vs-batch local aggregation, and the
+// CRC-32C reference table against the dispatched kernel over 4 KiB
+// pages.
 
 #include <benchmark/benchmark.h>
 
@@ -14,6 +16,7 @@
 #include "agg/batch_kernels.h"
 #include "agg/spilling_aggregator.h"
 #include "bench_util.h"
+#include "common/crc32c.h"
 #include "common/random.h"
 #include "model/locality_model.h"
 #include "storage/page.h"
@@ -272,6 +275,64 @@ void RunLocalAggHarness(bench::BenchJsonWriter& json) {
   table.Print();
 }
 
+/// Checksums `pages` pages with `crc`, cycling over the `page_bytes`
+/// pages of `buf`; returns the wall seconds of the pass.
+double RunCrcPass(uint32_t (*crc)(uint32_t, const uint8_t*, size_t),
+                  const std::vector<uint8_t>& buf, size_t page_bytes,
+                  int64_t pages) {
+  uint32_t sink = 0;
+  size_t off = 0;
+  const double t0 = NowSeconds();
+  for (int64_t p = 0; p < pages; ++p) {
+    sink ^= crc(0, buf.data() + off, page_bytes);
+    off += page_bytes;
+    if (off == buf.size()) off = 0;
+  }
+  const double secs = NowSeconds() - t0;
+  benchmark::DoNotOptimize(sink);
+  return secs;
+}
+
+/// The page checksum every spill page pays twice (sign on write, verify
+/// on read): the byte-at-a-time reference table against the dispatched
+/// Crc32c, same pages, best of 5 interleaved passes each. The pages
+/// cycle through a 256 KiB, L2-resident buffer, the way a page is
+/// checksummed right after it was built or read.
+void RunCrcHarness(bench::BenchJsonWriter& json) {
+  constexpr size_t kPageBytes = 4096;
+  constexpr size_t kResidentPages = 64;
+  const int64_t pages = std::max<int64_t>(
+      256, static_cast<int64_t>(16'384 * bench::BenchScale()));
+  std::vector<uint8_t> buf(kResidentPages * kPageBytes);
+  Prng prng(7);
+  for (uint8_t& b : buf) b = static_cast<uint8_t>(prng.NextBelow(256));
+
+  double ref_s = 1e300;
+  double hw_s = 1e300;
+  for (int rep = 0; rep < 5; ++rep) {
+    ref_s = std::min(ref_s,
+                     RunCrcPass(&Crc32cScalar, buf, kPageBytes, pages));
+    hw_s = std::min(hw_s, RunCrcPass(&Crc32c, buf, kPageBytes, pages));
+  }
+  const double bytes = static_cast<double>(pages) * kPageBytes;
+  std::printf("\n=== CRC-32C over 4 KiB pages: reference vs dispatched ===\n");
+  std::printf("%lld pages, best of 5\n\n", static_cast<long long>(pages));
+  bench::TablePrinter table(
+      {"path", "wall(s)", "ns/byte", "pages/s", "speedup"});
+  table.AddRow({"reference", bench::FmtSeconds(ref_s),
+                bench::FmtSeconds(ref_s * 1e9 / bytes),
+                bench::FmtSci(static_cast<double>(pages) / ref_s), "1"});
+  table.AddRow({"dispatched", bench::FmtSeconds(hw_s),
+                bench::FmtSeconds(hw_s * 1e9 / bytes),
+                bench::FmtSci(static_cast<double>(pages) / hw_s),
+                bench::FmtSeconds(ref_s / hw_s)});
+  table.Print();
+  json.AddPoint("crc32c_reference/page=4096", 0, ref_s,
+                static_cast<double>(pages) / ref_s);
+  json.AddPoint("crc32c_dispatched/page=4096", 0, hw_s,
+                static_cast<double>(pages) / hw_s);
+}
+
 }  // namespace
 }  // namespace adaptagg
 
@@ -282,9 +343,11 @@ int main(int argc, char** argv) {
   benchmark::RunSpecifiedBenchmarks();
   adaptagg::bench::BenchJsonWriter json(
       "micro_core",
-      "COUNT+SUM GROUP BY int64, 16B tuples, scale=" +
+      "COUNT+SUM GROUP BY int64, 16B tuples; CRC-32C over 4 KiB pages "
+      "(tuples_per_sec = pages/s); scale=" +
           adaptagg::bench::FmtSeconds(adaptagg::bench::BenchScale()));
   adaptagg::RunLocalAggHarness(json);
+  adaptagg::RunCrcHarness(json);
   json.Write();
   return 0;
 }

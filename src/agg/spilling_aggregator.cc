@@ -178,6 +178,12 @@ Status SpillingAggregator::Finish(const EmitFn& emit) {
       [&](const uint8_t* key, const uint8_t* state) { emit(key, state); });
   table_.Clear();
 
+  if (buckets_.empty()) return Status::OK();
+
+  // Buckets are re-read a same-tag page run at a time: each run is bound
+  // in place as a batch and goes through the child's batch adds, which
+  // are identical to per-record adds in order.
+  TupleBatch run(spec_);
   for (auto& bucket : buckets_) {
     ADAPTAGG_RETURN_IF_ERROR(bucket->Flush());
     stats_.spill_pages_written += bucket->num_pages();
@@ -189,12 +195,14 @@ Status SpillingAggregator::Finish(const EmitFn& emit) {
                              depth_ + 1);
     SpillReader reader(bucket.get());
     SpillTag tag;
-    const uint8_t* record = nullptr;
-    while (reader.Next(&tag, &record)) {
-      uint64_t hash =
-          spec_->HashKey(tag == SpillTag::kRaw ? spec_->KeyOfProjected(record)
-                                               : spec_->KeyOfPartial(record));
-      ADAPTAGG_RETURN_IF_ERROR(child.Add(tag, record, hash));
+    const uint8_t* records = nullptr;
+    int n = 0;
+    while ((n = reader.NextRun(kBatchWidth, &tag, &records)) > 0) {
+      run.BindView(records, 1 + bucket->WidthOf(tag), n);
+      run.ComputeHashes();
+      ADAPTAGG_RETURN_IF_ERROR(tag == SpillTag::kRaw
+                                   ? child.AddProjectedBatch(run)
+                                   : child.AddPartialBatch(run));
     }
     ADAPTAGG_RETURN_IF_ERROR(reader.status());
     stats_.spill_pages_read += reader.pages_read();

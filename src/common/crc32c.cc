@@ -2,6 +2,8 @@
 
 #include <array>
 
+#include "common/simd.h"
+
 namespace adaptagg {
 namespace {
 
@@ -22,13 +24,20 @@ std::array<uint32_t, 256> BuildTable() {
 
 }  // namespace
 
-uint32_t Crc32c(uint32_t crc, const uint8_t* data, size_t len) {
+uint32_t Crc32cScalar(uint32_t crc, const uint8_t* data, size_t len) {
   static const std::array<uint32_t, 256> kTable = BuildTable();
   crc = ~crc;
   for (size_t i = 0; i < len; ++i) {
     crc = kTable[(crc ^ data[i]) & 0xFFu] ^ (crc >> 8);
   }
   return ~crc;
+}
+
+uint32_t Crc32c(uint32_t crc, const uint8_t* data, size_t len) {
+#if defined(ADAPTAGG_SIMD_HAVE_AVX2)
+  if (simd::HardwareCrc32c()) return simd::Crc32cSse42(crc, data, len);
+#endif
+  return Crc32cScalar(crc, data, len);
 }
 
 }  // namespace adaptagg

@@ -77,6 +77,15 @@ void ResetDispatchForTest() {
   g_logged.store(false, std::memory_order_release);
 }
 
+bool HardwareCrc32c() {
+#if defined(ADAPTAGG_SIMD_HAVE_AVX2)
+  return ActiveDispatch() == DispatchKind::kAvx2 &&
+         __builtin_cpu_supports("sse4.2");
+#else
+  return false;
+#endif
+}
+
 void HashKeysFnvWordsScalar(const uint8_t* recs, int stride, int words,
                             int n, uint64_t basis, uint64_t prime,
                             uint64_t* out) {

@@ -18,6 +18,7 @@
 // value except "" and "0" pins the scalar path), which is how CI
 // exercises the fallback on AVX2 hosts.
 
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
 
@@ -34,9 +35,11 @@
 // instead of the whole build carrying -mavx2, so a single binary holds
 // both paths and the runtime dispatcher picks one.
 #define ADAPTAGG_TARGET_AVX2 __attribute__((target("avx2")))
+#define ADAPTAGG_TARGET_SSE42 __attribute__((target("sse4.2")))
 #define ADAPTAGG_SIMD_HAVE_AVX2 1
 #else
 #define ADAPTAGG_TARGET_AVX2
+#define ADAPTAGG_TARGET_SSE42
 #endif
 
 namespace adaptagg {
@@ -46,6 +49,7 @@ namespace simd {
 enum class DispatchKind {
   kScalar,  ///< portable fallback (also under ADAPTAGG_FORCE_SCALAR)
   kAvx2,    ///< x86-64 with AVX2: 8-lane key hashing + merge kernels
+            ///< (+ the SSE4.2 CRC-32C where the CPU reports it)
   kNeon,    ///< aarch64: 128-bit merge kernels, scalar hashing
 };
 
@@ -81,6 +85,17 @@ void HashKeysFnvWords(const uint8_t* recs, int stride, int words, int n,
 void HashKeysFnvWordsScalar(const uint8_t* recs, int stride, int words,
                             int n, uint64_t basis, uint64_t prime,
                             uint64_t* out);
+
+// ---------------------------------------------------------------------
+// CRC-32C (Castagnoli). The checksum itself is common/crc32c.h's
+// Crc32c, which dispatches here; only the hardware body lives in this
+// file.
+// ---------------------------------------------------------------------
+
+/// True when Crc32c may use the SSE4.2 crc32 instruction: the dispatch
+/// resolved to kAvx2 (so ADAPTAGG_FORCE_SCALAR pins the table code) and
+/// the CPU reports sse4.2.
+bool HardwareCrc32c();
 
 // ---------------------------------------------------------------------
 // Fused aggregate/merge arithmetic. The 128-bit forms need no runtime
@@ -270,6 +285,23 @@ ADAPTAGG_TARGET_AVX2 inline void MergeMinMaxInt64Avx2(
     merged = _mm_insert_epi64(merged, 1, 1);
     _mm_storeu_si128(reinterpret_cast<__m128i*>(s_ptr), merged);
   }
+}
+
+/// SSE4.2 body of Crc32c: the crc32 instruction over 8-byte words, then
+/// a byte tail. Same polynomial, pre/post inversion and composition as
+/// the table reference Crc32cScalar, so the values are identical.
+ADAPTAGG_TARGET_SSE42 inline uint32_t Crc32cSse42(uint32_t crc,
+                                                   const uint8_t* data,
+                                                   size_t len) {
+  uint64_t c = ~crc;
+  for (; len >= 8; data += 8, len -= 8) {
+    uint64_t word;
+    std::memcpy(&word, data, 8);
+    c = _mm_crc32_u64(c, word);
+  }
+  uint32_t c32 = static_cast<uint32_t>(c);
+  for (; len > 0; ++data, --len) c32 = _mm_crc32_u8(c32, *data);
+  return ~c32;
 }
 
 #endif  // ADAPTAGG_SIMD_HAVE_AVX2

@@ -88,8 +88,11 @@ bool SpillReader::LoadPage(int64_t index) {
     status_ = st;
     return false;
   }
-  std::memcpy(&frames_in_page_, page_bytes_.data(), sizeof(frames_in_page_));
-  if (frames_in_page_ & kCrcSignedFlag) {
+  // Parsed into a local so a page that fails verification leaves the
+  // reader at its end: later calls then report end of file, not garbage.
+  uint32_t frames;
+  std::memcpy(&frames, page_bytes_.data(), sizeof(frames));
+  if (frames & kCrcSignedFlag) {
     const size_t page_size = page_bytes_.size();
     uint32_t stored;
     std::memcpy(&stored, page_bytes_.data() + page_size - 4, 4);
@@ -100,8 +103,9 @@ bool SpillReader::LoadPage(int64_t index) {
           " failed CRC-32C (torn or corrupted write)");
       return false;
     }
-    frames_in_page_ &= ~kCrcSignedFlag;
+    frames &= ~kCrcSignedFlag;
   }
+  frames_in_page_ = frames;
   frame_in_page_ = 0;
   offset_ = sizeof(uint32_t);
   next_page_ = index + 1;
@@ -109,17 +113,24 @@ bool SpillReader::LoadPage(int64_t index) {
   return true;
 }
 
-bool SpillReader::Next(SpillTag* tag, const uint8_t** record) {
+int SpillReader::NextRun(int max, SpillTag* tag, const uint8_t** records) {
+  ADAPTAGG_CHECK(max >= 1) << "spill run of at most " << max << " records";
   while (frame_in_page_ >= frames_in_page_) {
-    if (!LoadPage(next_page_)) return false;
+    if (!LoadPage(next_page_)) return 0;
   }
-  *tag = static_cast<SpillTag>(page_bytes_[static_cast<size_t>(offset_)]);
-  *record = page_bytes_.data() + offset_ + 1;
-  int width = (*tag == SpillTag::kRaw) ? writer_->raw_width()
-                                       : writer_->partial_width();
-  offset_ += 1 + width;
-  ++frame_in_page_;
-  return true;
+  const uint8_t* page = page_bytes_.data();
+  const uint8_t tag_byte = page[static_cast<size_t>(offset_)];
+  *tag = static_cast<SpillTag>(tag_byte);
+  *records = page + offset_ + 1;
+  const int frame = 1 + writer_->WidthOf(*tag);
+  int n = 0;
+  while (n < max && frame_in_page_ < frames_in_page_ &&
+         page[static_cast<size_t>(offset_)] == tag_byte) {
+    offset_ += frame;
+    ++frame_in_page_;
+    ++n;
+  }
+  return n;
 }
 
 }  // namespace adaptagg

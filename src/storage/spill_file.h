@@ -48,16 +48,16 @@ class SpillWriter {
   Disk* disk() const { return disk_; }
   int raw_width() const { return raw_width_; }
   int partial_width() const { return partial_width_; }
+  /// Record width of `tag` (anything but kRaw reads as partial).
+  int WidthOf(SpillTag tag) const {
+    return tag == SpillTag::kRaw ? raw_width_ : partial_width_;
+  }
 
   /// Deletes the backing file (after the bucket has been consumed).
   Status Drop();
 
  private:
   SpillWriter(Disk* disk, FileId file, int raw_width, int partial_width);
-
-  int WidthOf(SpillTag tag) const {
-    return tag == SpillTag::kRaw ? raw_width_ : partial_width_;
-  }
 
   Disk* disk_;
   FileId file_;
@@ -70,17 +70,21 @@ class SpillWriter {
   int64_t num_pages_ = 0;
 };
 
-/// Sequentially reads back a flushed spill file.
+/// Sequentially reads back a flushed spill file, a run of records at a
+/// time so the caller can hand each run to the batch kernels in place.
 class SpillReader {
  public:
   explicit SpillReader(const SpillWriter* writer);
 
-  /// Returns the next record, or false at end of file or on a disk error
-  /// — distinguish by checking status(). `*tag` and `*record` are valid
-  /// until the following Next() call.
-  bool Next(SpillTag* tag, const uint8_t** record);
+  /// Returns the next run of consecutive same-tag records within one
+  /// page — at most `max` (>= 1) of them, in file order — or 0 at end of
+  /// file or on a read error (distinguish by checking status()). `*tag`
+  /// is the run's tag and `*records` its first record; the records lie
+  /// 1 + WidthOf(tag) bytes apart (each frame's tag byte sits between
+  /// them). The run stays valid until the following NextRun() call.
+  int NextRun(int max, SpillTag* tag, const uint8_t** records);
 
-  /// OK unless a page read failed.
+  /// OK unless a page read failed or a page did not verify.
   const Status& status() const { return status_; }
 
   int64_t pages_read() const { return pages_read_; }

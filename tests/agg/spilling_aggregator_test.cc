@@ -5,6 +5,8 @@
 #include <cstring>
 #include <map>
 
+#include "common/random.h"
+
 namespace adaptagg {
 namespace {
 
@@ -180,6 +182,101 @@ TEST_F(SpillingAggregatorTest, DistinctSpecZeroStateWidth) {
   ASSERT_TRUE(
       agg.Finish([&](const uint8_t*, const uint8_t*) { ++emitted; }).ok());
   EXPECT_EQ(emitted, 77);
+}
+
+// --- Pinned emit order and spill I/O ---------------------------------
+//
+// Finish() emits the resident table, then each bucket's recursive child
+// in bucket order, so the exact (key, state) sequence and every SpillStats
+// counter are functions of the input order alone. The constants below
+// were captured from the record-at-a-time bucket re-read; the batched
+// re-read must reproduce them exactly.
+
+struct PinnedRun {
+  uint64_t digest = 0;
+  int64_t emitted = 0;
+  SpillStats stats;
+};
+
+// FNV-1a over the emitted (key, state) bytes in emit order.
+PinnedRun FinishPinned(const AggregationSpec& spec, SpillingAggregator& agg) {
+  PinnedRun run;
+  uint64_t h = 0xcbf29ce484222325ULL;
+  const auto fold = [&h](const uint8_t* p, int n) {
+    for (int i = 0; i < n; ++i) {
+      h = (h ^ p[i]) * 0x100000001b3ULL;
+    }
+  };
+  Status st = agg.Finish([&](const uint8_t* key, const uint8_t* state) {
+    fold(key, spec.key_width());
+    fold(state, spec.state_width());
+    ++run.emitted;
+  });
+  EXPECT_TRUE(st.ok()) << st.ToString();
+  run.digest = h;
+  run.stats = agg.stats();
+  return run;
+}
+
+void ExpectStats(const SpillStats& s, int64_t overflow_records,
+                 int64_t pages_written, int64_t pages_read, int buckets,
+                 int max_depth) {
+  EXPECT_EQ(s.overflow_records, overflow_records);
+  EXPECT_EQ(s.spill_pages_written, pages_written);
+  EXPECT_EQ(s.spill_pages_read, pages_read);
+  EXPECT_EQ(s.buckets_created, buckets);
+  EXPECT_EQ(s.max_depth, max_depth);
+}
+
+TEST_F(SpillingAggregatorTest, PinnedEmitOrderMixedRawAndPartial) {
+  SpillingAggregator agg(spec_.get(), &disk_, /*max_entries=*/64,
+                         /*fanout=*/4);
+  for (int64_t i = 0; i < 6'000; ++i) {
+    const int64_t g = static_cast<int64_t>(SplitMix64(i) % 900);
+    if (i % 5 == 0) {
+      ASSERT_TRUE(agg.AddPartial(Partial(g, 2, i).data()).ok());
+    } else {
+      ASSERT_TRUE(agg.AddProjected(Proj(g, i % 7 - 3).data()).ok());
+    }
+  }
+  const PinnedRun run = FinishPinned(*spec_, agg);
+  EXPECT_EQ(run.emitted, 899);  // one of the 900 keys is never drawn
+  EXPECT_EQ(run.digest, 18242623935282511792u);
+  ExpectStats(run.stats, /*overflow_records=*/9'134, /*pages_written=*/177,
+              /*pages_read=*/177, /*buckets=*/20, /*max_depth=*/2);
+}
+
+TEST_F(SpillingAggregatorTest, PinnedEmitOrderDeepRecursion) {
+  SpillingAggregator agg(spec_.get(), &disk_, /*max_entries=*/4,
+                         /*fanout=*/2);
+  for (int64_t i = 0; i < 3'000; ++i) {
+    const int64_t g = static_cast<int64_t>(SplitMix64(i + 17) % 400);
+    ASSERT_TRUE(agg.AddProjected(Proj(g, i).data()).ok());
+  }
+  const PinnedRun run = FinishPinned(*spec_, agg);
+  EXPECT_EQ(run.emitted, 400);
+  EXPECT_GE(run.stats.max_depth, 2);
+  EXPECT_EQ(run.digest, 8174405791965259896u);
+  ExpectStats(run.stats, /*overflow_records=*/14'217, /*pages_written=*/312,
+              /*pages_read=*/312, /*buckets=*/136, /*max_depth=*/7);
+}
+
+TEST_F(SpillingAggregatorTest, PinnedEmitOrderDistinctZeroStateWidth) {
+  auto distinct = MakeDistinctSpec(&schema_, {0});
+  ASSERT_TRUE(distinct.ok());
+  SpillingAggregator agg(&*distinct, &disk_, /*max_entries=*/16,
+                         /*fanout=*/2);
+  std::vector<uint8_t> rec(8);
+  for (int64_t i = 0; i < 2'000; ++i) {
+    const int64_t g = static_cast<int64_t>(SplitMix64(i + 99) % 300);
+    std::memcpy(rec.data(), &g, 8);
+    ASSERT_TRUE(agg.AddProjected(rec.data()).ok());
+  }
+  const PinnedRun run = FinishPinned(*distinct, agg);
+  EXPECT_EQ(run.emitted, 300);
+  EXPECT_EQ(run.digest, 6317103935405943041u);
+  ExpectStats(run.stats, /*overflow_records=*/5'112, /*pages_written=*/66,
+              /*pages_read=*/66, /*buckets=*/30, /*max_depth=*/4);
 }
 
 }  // namespace

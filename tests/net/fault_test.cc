@@ -6,40 +6,12 @@
 #include <cstring>
 #include <vector>
 
-#include "common/crc32c.h"
 #include "net/message.h"
 #include "net/transport.h"
 #include "test_util.h"
 
 namespace adaptagg {
 namespace {
-
-// --- CRC-32C ---
-
-TEST(Crc32c, KnownVector) {
-  // The canonical CRC-32C check value: crc("123456789") == 0xE3069283.
-  const uint8_t data[] = {'1', '2', '3', '4', '5', '6', '7', '8', '9'};
-  EXPECT_EQ(Crc32c(0, data, sizeof(data)), 0xE3069283u);
-}
-
-TEST(Crc32c, Composable) {
-  const uint8_t data[] = {'1', '2', '3', '4', '5', '6', '7', '8', '9'};
-  uint32_t part = Crc32c(0, data, 4);
-  EXPECT_EQ(Crc32c(part, data + 4, 5), 0xE3069283u);
-}
-
-TEST(Crc32c, DetectsSingleBitFlip) {
-  std::vector<uint8_t> buf(256);
-  for (size_t i = 0; i < buf.size(); ++i) {
-    buf[i] = static_cast<uint8_t>(i * 7 + 3);
-  }
-  const uint32_t good = Crc32c(0, buf.data(), buf.size());
-  for (size_t byte : {size_t{0}, buf.size() / 2, buf.size() - 1}) {
-    buf[byte] ^= 0x10;
-    EXPECT_NE(Crc32c(0, buf.data(), buf.size()), good);
-    buf[byte] ^= 0x10;
-  }
-}
 
 // --- FaultPlan parsing ---
 
