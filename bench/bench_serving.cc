@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "common/str_cat.h"
 #include "exec/expression.h"
 #include "serve/cluster_service.h"
 
@@ -213,8 +214,9 @@ int main(int argc, char** argv) {
                   FmtInt(out.completed), FmtInt(out.cache_hits),
                   FmtSeconds(out.qps), FmtSeconds(out.p50_s),
                   FmtSeconds(out.p95_s), FmtSeconds(out.p99_s)});
-    const std::string base = "c" + std::to_string(load.clients) +
-                             "_hit" + std::to_string(load.hit_pct);
+    const std::string base =
+        StrCat({"c", std::to_string(load.clients), "_hit",
+                std::to_string(load.hit_pct)});
     // One throughput point (tuples_per_sec carries QPS) plus one point
     // per latency percentile (wall_time_s carries the latency).
     json.AddPoint(base + "_qps", 0, out.elapsed_s, out.qps);

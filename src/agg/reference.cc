@@ -9,7 +9,15 @@
 namespace adaptagg {
 
 void ResultSet::Sort() {
-  std::sort(rows.begin(), rows.end());
+  // Byte-lexicographic, exactly std::vector's operator<, spelled out
+  // because gcc 12 at -O3 reports a false -Werror=stringop-overread
+  // inside that operator's memcmp.
+  std::sort(rows.begin(), rows.end(),
+            [](const std::vector<uint8_t>& a, const std::vector<uint8_t>& b) {
+              const size_t n = std::min(a.size(), b.size());
+              const int c = n == 0 ? 0 : std::memcmp(a.data(), b.data(), n);
+              return c != 0 ? c < 0 : a.size() < b.size();
+            });
 }
 
 bool ResultSetsEqual(const ResultSet& a, const ResultSet& b, double eps) {

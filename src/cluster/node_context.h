@@ -13,7 +13,6 @@
 #include "cluster/gather_sink.h"
 #include "exec/expression.h"
 #include "exec/operator.h"
-#include "model/locality_model.h"
 #include "net/fault.h"
 #include "net/network_model.h"
 #include "net/transport.h"
@@ -66,20 +65,6 @@ struct AlgorithmOptions {
   int64_t init_seg = 10'000;
   /// "Too few groups" bound at decision time (-1: crossover threshold).
   int64_t few_groups_threshold = -1;
-
-  // --- Radix pre-partitioning of local aggregation ---
-  /// Hash-direct vs cache-sized radix-partitioned batch aggregation
-  /// (model/locality_model.h). kAuto engages when the sampling phase's
-  /// group estimate says the working set exceeds the last-level-cache
-  /// budget; kOn/kOff force the choice. Wall-clock-only: never changes
-  /// modeled costs or emitted results.
-  RadixMode radix_mode = RadixMode::kAuto;
-  /// L2 partition-region budget in bytes (-1: model default, 2 MiB).
-  int64_t radix_l2_bytes = -1;
-  /// Last-level-cache budget in bytes gating kAuto engagement (-1:
-  /// model default, 32 MiB — see locality_model.h for the measured
-  /// rationale).
-  int64_t radix_llc_bytes = -1;
 
   /// Caller-supplied global distinct-group estimate (0: unknown). Feeds
   /// the serving layer's admission memory estimate.
@@ -191,24 +176,6 @@ class NodeContext {
   int64_t max_hash_entries() const;
   int64_t crossover_threshold() const;
   int64_t few_groups_threshold() const;
-
-  /// Sampling-phase estimate of this node's local distinct-group count
-  /// (0 = no estimate yet). Written by the sampling decision phase, read
-  /// by the phase bodies' radix pre-partitioning decision; never shipped
-  /// over the wire.
-  int64_t estimated_local_groups() const { return estimated_groups_; }
-  void set_estimated_local_groups(int64_t groups) {
-    estimated_groups_ = groups;
-  }
-
-  /// Sampling-phase estimate of the cluster-wide distinct-group count
-  /// (0 = no estimate). The sampling coordinator computes it from the
-  /// unioned sample and broadcasts it with its decision, so every node
-  /// holds the same value; read by the merge table's radix decision.
-  int64_t sampled_global_groups() const { return sampled_global_groups_; }
-  void set_sampled_global_groups(int64_t groups) {
-    sampled_global_groups_ = groups;
-  }
 
   HeapFile* local_partition() { return local_partition_; }
   Disk* disk() { return disk_; }
@@ -355,8 +322,6 @@ class NodeContext {
 
   CostClock clock_;
   NodeRunStats stats_;
-  int64_t estimated_groups_ = 0;
-  int64_t sampled_global_groups_ = 0;
   std::unique_ptr<NodeObs> obs_;
   PagePool page_pool_;
   DiskStats last_disk_;

@@ -8,44 +8,6 @@
 #include "common/logging.h"
 
 namespace adaptagg {
-namespace {
-
-/// Applies the locality model's radix decision to one aggregator before
-/// it sees any records. `role` names the aggregation for the trace
-/// ("local": the scan-phase table; "global": the merge-phase table) and
-/// `est_groups` is the expected group count for it — 0 (no sampling
-/// estimate) leaves kAuto disengaged. Wall-clock-only: the choice never
-/// touches the cost clock, so simulated results are unchanged either
-/// way.
-void MaybeEnableRadix(NodeContext& ctx, SpillingAggregator& agg,
-                      const char* role, int64_t est_groups) {
-  const RadixDecision d = DecideRadixPartitioning(
-      ctx.options().radix_mode, est_groups, ctx.max_hash_entries(),
-      ctx.spec().key_width() + ctx.spec().state_width(),
-      ctx.options().radix_l2_bytes, ctx.options().radix_llc_bytes);
-  if (!d.engage) return;
-  agg.EnableRadixPartitioning(d.partitions);
-  ctx.obs().RecordDecision(std::string("radix.engage.") + role,
-                           {{"partitions", d.partitions},
-                            {"est_groups", est_groups},
-                            {"working_set_bytes", d.working_set_bytes}});
-}
-
-/// Expected group count of this node's merge table, which owns ~1/n of
-/// the groups routed by key hash: the Sampling coordinator's broadcast
-/// cluster-wide estimate when there is one, else this node's local
-/// estimate. Recovery-armed runs always take the local estimate: a radix
-/// table refuses Snapshot, so engaging it on more of them would skip
-/// their merge-phase checkpoints.
-int64_t MergeTableGroups(NodeContext& ctx) {
-  const int64_t est = ctx.recovery() == nullptr &&
-                              ctx.sampled_global_groups() > 0
-                          ? ctx.sampled_global_groups()
-                          : ctx.estimated_local_groups();
-  return est / std::max(ctx.num_nodes(), 1);
-}
-
-}  // namespace
 
 DataReceiver::DataReceiver(NodeContext* ctx, SpillingAggregator* agg,
                            int expected_eos)
@@ -261,9 +223,6 @@ Status RunTwoPhaseBody(NodeContext& ctx) {
   SpillingAggregator global(&spec, ctx.disk(), ctx.max_hash_entries(),
                             ctx.options().spill_fanout,
                             "g2p_n" + std::to_string(ctx.node_id()));
-  if (restore == nullptr) {
-    MaybeEnableRadix(ctx, global, "global", MergeTableGroups(ctx));
-  }
   DataReceiver recv(&ctx, &global, n);
   Exchange ex(&ctx, MessageType::kPartialPage, spec.partial_width(),
               kPhaseData);
@@ -272,11 +231,7 @@ Status RunTwoPhaseBody(NodeContext& ctx) {
   SpillingAggregator local(&spec, ctx.disk(), ctx.max_hash_entries(),
                            ctx.options().spill_fanout,
                            "l2p_n" + std::to_string(ctx.node_id()));
-  if (restore == nullptr) {
-    MaybeEnableRadix(ctx, local, "local", ctx.estimated_local_groups());
-  } else {
-    // Radix staging is incompatible with restore (and is a wall-clock
-    // optimization only), so replay attempts run plain tables.
+  if (restore != nullptr) {
     ADAPTAGG_RETURN_IF_ERROR(global.RestoreFrom(
         restore->global_partials.data(), restore->global_partials.size()));
     ADAPTAGG_RETURN_IF_ERROR(local.RestoreFrom(
@@ -380,9 +335,6 @@ Status RunRepartitioningBody(NodeContext& ctx) {
   SpillingAggregator global(&spec, ctx.disk(), ctx.max_hash_entries(),
                             ctx.options().spill_fanout,
                             "grep_n" + std::to_string(ctx.node_id()));
-  if (restore == nullptr) {
-    MaybeEnableRadix(ctx, global, "global", MergeTableGroups(ctx));
-  }
   DataReceiver recv(&ctx, &global, n);
   if (restore != nullptr) {
     ADAPTAGG_RETURN_IF_ERROR(global.RestoreFrom(

@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "common/logging.h"
+#include "common/str_cat.h"
 
 namespace adaptagg {
 
@@ -63,7 +64,7 @@ class ColExpr : public Expr {
   }
 
   std::string ToString() const override {
-    return "$" + std::to_string(index_);
+    return StrCat({"$", std::to_string(index_)});
   }
 
  private:
@@ -109,7 +110,7 @@ class LitExpr : public Expr {
   Value Eval(const TupleView&) const override { return value_; }
 
   std::string ToString() const override {
-    if (value_.is_bytes()) return "'" + value_.ToString() + "'";
+    if (value_.is_bytes()) return StrCat({"'", value_.ToString(), "'"});
     return value_.ToString();
   }
 
@@ -171,8 +172,8 @@ class CmpExpr : public Expr {
   }
 
   std::string ToString() const override {
-    return "(" + lhs_->ToString() + " " + CmpOpToString(op_) + " " +
-           rhs_->ToString() + ")";
+    return StrCat({"(", lhs_->ToString(), " ", CmpOpToString(op_), " ",
+                   rhs_->ToString(), ")"});
   }
 
  private:
@@ -222,11 +223,11 @@ class LogicalExpr : public Expr {
   std::string ToString() const override {
     switch (kind_) {
       case Kind::kNot:
-        return "(NOT " + lhs_->ToString() + ")";
+        return StrCat({"(NOT ", lhs_->ToString(), ")"});
       case Kind::kAnd:
-        return "(" + lhs_->ToString() + " AND " + rhs_->ToString() + ")";
+        return StrCat({"(", lhs_->ToString(), " AND ", rhs_->ToString(), ")"});
       case Kind::kOr:
-        return "(" + lhs_->ToString() + " OR " + rhs_->ToString() + ")";
+        return StrCat({"(", lhs_->ToString(), " OR ", rhs_->ToString(), ")"});
     }
     return "?";
   }
@@ -286,8 +287,8 @@ class ArithExpr : public Expr {
   }
 
   std::string ToString() const override {
-    return "(" + lhs_->ToString() + " " + ArithOpToString(op_) + " " +
-           rhs_->ToString() + ")";
+    return StrCat({"(", lhs_->ToString(), " ", ArithOpToString(op_), " ",
+                   rhs_->ToString(), ")"});
   }
 
  private:

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "common/str_cat.h"
+
 namespace adaptagg {
 
 HistogramSpec HistogramSpec::Exponential(int64_t start, double factor,
@@ -40,10 +42,9 @@ int HistogramSpec::BucketOf(int64_t value) const {
 
 std::string HistogramSpec::BucketLabel(int i) const {
   if (i >= static_cast<int>(edges.size())) {
-    return edges.empty() ? "all"
-                         : ">" + std::to_string(edges.back());
+    return edges.empty() ? "all" : StrCat({">", std::to_string(edges.back())});
   }
-  return "<=" + std::to_string(edges[static_cast<size_t>(i)]);
+  return StrCat({"<=", std::to_string(edges[static_cast<size_t>(i)])});
 }
 
 }  // namespace adaptagg

@@ -3,6 +3,7 @@
 #include <unordered_set>
 
 #include "common/logging.h"
+#include "common/str_cat.h"
 
 namespace adaptagg {
 
@@ -59,12 +60,12 @@ std::string Schema::ToString() const {
   std::string out = "{";
   for (int i = 0; i < num_fields(); ++i) {
     if (i > 0) out += ", ";
-    out += fields_[i].name + ":" + DataTypeToString(fields_[i].type);
+    out += StrCat({fields_[i].name, ":", DataTypeToString(fields_[i].type)});
     if (fields_[i].type == DataType::kBytes) {
-      out += "(" + std::to_string(fields_[i].width) + ")";
+      out += StrCat({"(", std::to_string(fields_[i].width), ")"});
     }
   }
-  out += "} [" + std::to_string(tuple_size_) + "B]";
+  out += StrCat({"} [", std::to_string(tuple_size_), "B]"});
   return out;
 }
 

@@ -160,19 +160,26 @@ TEST(AdaptiveRepartitioning, EndOfPhasePropagatesAcrossNodes) {
   AlgorithmOptions opts;
   opts.init_seg = 500;
   opts.few_groups_threshold = 100;
+  // Nodes 1-3 sleep 5 ms of wall time at each of their ~31 scan polls,
+  // so node 0's end-of-phase message always lands before they finish
+  // scanning. Straggling never touches modeled cost.
+  ASSERT_OK_AND_ASSIGN(opts.fault_plan,
+                       FaultPlan::Parse("straggle:node=1,factor=5;"
+                                        "straggle:node=2,factor=5;"
+                                        "straggle:node=3,factor=5"));
   RunResult run = cluster.Run(
       *MakeAlgorithm(AlgorithmKind::kAdaptiveRepartitioning), spec, rel,
       opts);
   ASSERT_OK(run.status);
   EXPECT_TRUE(run.node_stats[0].switched);
-  // At least one other node must have followed suit via the message (it
-  // cannot have decided locally: it sees ~500 distinct groups in 500
-  // tuples, far above the threshold of 100).
+  // Every other node must have followed suit via the message (none can
+  // decide locally: each sees ~500 distinct groups in 500 tuples, far
+  // above the threshold of 100).
   int followers = 0;
   for (int i = 1; i < 4; ++i) {
     if (run.node_stats[i].switched) ++followers;
   }
-  EXPECT_GE(followers, 1);
+  EXPECT_EQ(followers, 3);
   // Correctness under the mixed-mode execution.
   ASSERT_OK_AND_ASSIGN(ResultSet expected, ReferenceAggregate(spec, rel));
   EXPECT_TRUE(ResultSetsEqual(run.results, expected));

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
+#include "common/str_cat.h"
 #include "test_util.h"
 
 namespace adaptagg {
@@ -34,7 +35,7 @@ Result<Scenario> MakeScenario(uint64_t seed) {
   fields.push_back({"c0", DataType::kInt64, 8});  // always a group col
   for (int c = 1; c < num_cols; ++c) {
     Field f;
-    f.name = "c" + std::to_string(c);
+    f.name = StrCat({"c", std::to_string(c)});
     switch (prng.NextBelow(3)) {
       case 0:
         f.type = DataType::kInt64;
@@ -113,7 +114,7 @@ Result<Scenario> MakeScenario(uint64_t seed) {
     AggKind kind = kKinds[prng.NextBelow(5)];
     AggDescriptor d;
     d.kind = kind;
-    d.name = "a" + std::to_string(a);
+    d.name = StrCat({"a", std::to_string(a)});
     d.input_col =
         kind == AggKind::kCount
             ? -1

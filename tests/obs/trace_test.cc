@@ -320,6 +320,30 @@ TEST(ChromeTrace, TracesOffByDefaultKeepsRunResultLean) {
   EXPECT_FALSE(run.metrics.empty());  // metrics still on by default
 }
 
+int CountInstants(const RunResult& run, const std::string& name) {
+  int count = 0;
+  for (const TraceEvent& e : run.trace_events) {
+    if (e.kind == TraceEvent::Kind::kInstant && e.name == name) ++count;
+  }
+  return count;
+}
+
+TEST(ChromeTrace, SimdDispatchInstantRecordedOncePerRun) {
+  WorkloadSpec wspec;
+  wspec.num_nodes = 2;
+  wspec.num_tuples = 4'000;
+  wspec.num_groups = 50;
+  ASSERT_OK_AND_ASSIGN(PartitionedRelation rel, GenerateRelation(wspec));
+  ASSERT_OK_AND_ASSIGN(AggregationSpec spec, MakeBenchQuery(&rel.schema()));
+  Cluster cluster(SmallClusterParams(2, 4'000));
+  AlgorithmOptions opts;
+  opts.obs.traces = true;
+  RunResult run = cluster.Run(*MakeAlgorithm(AlgorithmKind::kTwoPhase),
+                              spec, rel, opts);
+  ASSERT_OK(run.status);
+  EXPECT_EQ(CountInstants(run, "simd.dispatch"), 1);
+}
+
 #else
 
 TEST(ChromeTrace, DisabledBuildProducesNoEvents) {

@@ -20,6 +20,7 @@
 #include "agg/reference.h"
 #include "cluster/run_report.h"
 #include "cluster/cluster.h"
+#include "common/str_cat.h"
 #include "core/algorithm.h"
 #include "model/cost_model.h"
 #include "net/fault.h"
@@ -389,7 +390,7 @@ int RunEngine(const CliOptions& opt,
       std::string path = opt.trace_file;
       if (algorithms.size() > 1) {
         // One file per algorithm: insert _<algo> before the extension.
-        const std::string suffix = "_" + AlgorithmKindToString(kind);
+        const std::string suffix = StrCat({"_", AlgorithmKindToString(kind)});
         const size_t dot = path.find_last_of('.');
         if (dot == std::string::npos ||
             path.find('/', dot) != std::string::npos) {

@@ -213,7 +213,11 @@ std::string StripCommentsAndStrings(const std::string& text) {
                                text[i - 1] != '_'))) {
           size_t paren = text.find('(', i + 2);
           if (paren != std::string::npos) {
-            raw_delim = ")" + text.substr(i + 2, paren - i - 2) + "\"";
+            // Appended piecewise: `literal + temporary` trips gcc 12's
+            // -Werror=restrict inside std::string.
+            raw_delim = ")";
+            raw_delim += text.substr(i + 2, paren - i - 2);
+            raw_delim += '"';
             state = State::kRawString;
             i = paren;
           }
